@@ -56,6 +56,7 @@ from .pencil import (
     disc_cubic,
     disc_quartic,
     pencil_verdict,
+    pencil_verdicts,
     rescaled_charpoly,
 )
 from .stokes import (

@@ -2,16 +2,13 @@
 
 Subcommands: index, diagram, spectrum, wave, resonances, validate.
 Options come from an optional JSON config file plus flags; flags win.
-Sweeps run on a worker pool capped by MODWAVE_THREADS, with results
-gathered in input order so outputs stay byte-stable.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import dataclasses
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 from . import hill, indices, output, pencil, validation
@@ -22,23 +19,12 @@ from .indices import Verdict
 from .stokes import EquationKind, newton_wave
 
 
-def _worker_count() -> int:
-    env = os.environ.get("MODWAVE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError("MODWAVE_THREADS", f"not an integer: {env!r}") from None
-    return min(8, os.cpu_count() or 1)
-
-
-def _parallel_map(fn, items):
-    items = list(items)
-    workers = min(_worker_count(), max(1, len(items)))
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+#: index verdict that a reduced-pencil verdict settles an Inconclusive k to
+_PENCIL_TO_INDEX = {
+    pencil.PencilVerdict.STABLE: Verdict.STABLE_NEAR_ORIGIN,
+    pencil.PencilVerdict.UNSTABLE: Verdict.MODULATIONALLY_UNSTABLE,
+    pencil.PencilVerdict.DEGENERATE: Verdict.DEGENERATE,
+}
 
 
 def _resolve_symbol(cfg: RunConfig, args) -> DispersionSymbol:
@@ -77,24 +63,21 @@ def cmd_index(cfg: RunConfig, args) -> int:
     sym = _resolve_symbol(cfg, args)
     kind = cfg.equation_kind()
     ks = cfg.k_values()
-
-    def one(k: float):
-        report = indices.ind(kind, sym, k)
-        verdict = report.verdict
-        if verdict is Verdict.INCONCLUSIVE and kind is EquationKind.BOUSSINESQ:
-            refined = pencil.pencil_verdict(kind, sym, k)
-            verdict = {
-                pencil.PencilVerdict.STABLE: Verdict.STABLE_NEAR_ORIGIN,
-                pencil.PencilVerdict.UNSTABLE: Verdict.MODULATIONALLY_UNSTABLE,
-                pencil.PencilVerdict.DEGENERATE: Verdict.DEGENERATE,
-            }[refined]
-        return (
+    reports = [indices.ind(kind, sym, k) for k in ks]
+    verdicts = [report.verdict for report in reports]
+    # only the bidirectional index leaves rows Inconclusive
+    open_rows = [i for i, v in enumerate(verdicts) if v is Verdict.INCONCLUSIVE]
+    refined = pencil.pencil_verdicts(kind, sym, [reports[i] for i in open_rows])
+    for i, v in zip(open_rows, refined):
+        verdicts[i] = _PENCIL_TO_INDEX[v]
+    rows = [
+        (
             report.k, report.i1, report.i2m, report.i2p, report.i3m, report.i3p,
             report.i_eq, report.ind, verdict.value,
             "|".join(sorted(report.resonance_flags)),
         )
-
-    rows = _parallel_map(one, ks)
+        for report, verdict in zip(reports, verdicts)
+    ]
     header = ["k", "i1", "i2m", "i2p", "i3m", "i3p", "i_eq", "ind", "verdict", "resonances"]
     _emit_csv(cfg, header, rows)
     return 0
@@ -108,7 +91,7 @@ def cmd_diagram(cfg: RunConfig, args) -> int:
         raise ConfigError("alpha_range", "need lo < hi and alpha_steps >= 2")
     alphas = [lo + i * (hi - lo) / (cfg.alpha_steps - 1) for i in range(cfg.alpha_steps)]
     if cfg.k_range is None:
-        cfg.k_range = (0.05, 3.0)
+        cfg = dataclasses.replace(cfg, k_range=(0.05, 3.0))
     ks = cfg.k_values()
 
     def sign(x: float) -> int:
@@ -130,7 +113,7 @@ def cmd_diagram(cfg: RunConfig, args) -> int:
         k_bq = None if k_bq is None else float(k_bq)
         return grid_rows, (alpha, k_bbm, k_bq)
 
-    results = _parallel_map(one, alphas)
+    results = [one(alpha) for alpha in alphas]
     rows = [row for grid_rows, _ in results for row in grid_rows]
     header = ["alpha", "k", "sign_ind_kdv", "sign_ind_bbm", "sign_ind_bnesq"]
     curve_rows = [c for _, c in results]
@@ -163,7 +146,7 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
         op = hill.assemble(kind, sym, wave, xi, cfg.n_modes)
         return hill.spectrum(op, sym)
 
-    slices = _parallel_map(one, xis)
+    slices = [one(xi) for xi in xis]
     rows = []
     for sl in slices:
         for val in sl.eigenvalues:

@@ -14,6 +14,11 @@ taken from the projection inner products rather than the assembled
 matrix display because only that value reproduces the instability index
 threshold against the independent Floquet-Bloch oracle (the two
 candidate transcriptions differ by a factor of two on one term).
+
+Every stage runs on a whole k-grid at once: a k-array gives stacked
+(n, size, size) pencils, coefficient rows and elementwise discriminants,
+and a scalar k is a batch of one through the same code that returns
+(size, size) matrices and scalars.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .errors import (
     NotRescalable,
     UnsupportedKind,
 )
-from .indices import Verdict, ind
+from .indices import IndexReport, Verdict, ind
 from .stokes import RESONANCE_TOL, EquationKind
 
 #: admissible relative imaginary residue when realifying coefficients
@@ -40,8 +45,12 @@ IMAG_RESIDUE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ReducedPencil:
+    """One pencil (k scalar, (size, size) matrices) or a stack of them
+    (k an n-array, (n, size, size) matrices).  eigenvalues() and to_json()
+    take a single pencil only."""
+
     kind: EquationKind
-    k: float
+    k: float | np.ndarray
     xi: float
     a: float
     b_matrix: np.ndarray
@@ -49,16 +58,22 @@ class ReducedPencil:
 
     @property
     def size(self) -> int:
-        return self.b_matrix.shape[0]
+        return self.b_matrix.shape[-1]
+
+    def _require_single(self) -> None:
+        if self.b_matrix.ndim != 2:
+            raise ValueError("expected a single pencil, got a stack")
 
     def eigenvalues(self) -> np.ndarray:
         """Roots of det(B - lambda I); approximate near-origin spectrum."""
+        self._require_single()
         vals = np.linalg.eigvals(np.linalg.solve(self.i_matrix, self.b_matrix))
         order = np.lexsort((vals.imag, vals.real))
         return vals[order]
 
     def to_json(self) -> dict:
         """Debug dump: row-major entries as [re, im] pairs."""
+        self._require_single()
 
         def dump(mat: np.ndarray) -> list[list[list[float]]]:
             return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
@@ -73,75 +88,108 @@ class ReducedPencil:
         }
 
 
-def build_bbm_pencil(sym: DispersionSymbol, k: float, xi: float, a: float) -> ReducedPencil:
-    """3x3 pencil for the unidirectional equation."""
-    if k <= 0:
+def _unbox(x):
+    """A 0-d result as a Python float; arrays pass through."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _coefficient_arrays(*p) -> list[np.ndarray]:
+    """Coefficients as float arrays; a scalar becomes 0-d, so it takes the
+    same ufunc loops as a row of a batch."""
+    return [np.asarray(c, dtype=float) for c in p]
+
+
+def _symbol_columns(sym: DispersionSymbol, k) -> tuple[np.ndarray, ...]:
+    """(k, m(k), m'(k), m''(k), m(2k)) as 1-d arrays over the grid.
+
+    The values come from the scalar evaluators one k at a time, so every
+    pencil entry is the same float a one-k build gives.
+    """
+    ks = np.atleast_1d(np.asarray(k))
+    if np.any(ks <= 0):
         raise ValueError("k must be positive")
-    m = eval_m(sym, k)
-    mp = d1_m(sym, k)
-    mpp = d2_m(sym, k)
-    m2 = eval_m(sym, 2 * k)
-    if abs(m - 1.0) <= RESONANCE_TOL or abs(m - m2) <= RESONANCE_TOL:
-        raise DegenerateResonance(f"resonant denominators at k={k}")
-    e = k * mp + 0.5 * k * k * mpp
+    vals = [(eval_m(sym, kk), d1_m(sym, kk), d2_m(sym, kk), eval_m(sym, 2 * kk))
+            for kk in ks.tolist()]
+    m, mp, mpp, m2 = np.array(vals, dtype=float).reshape(-1, 4).T
+    return ks, m, mp, mpp, m2
+
+
+def _check_resonance(ks: np.ndarray, resonant: np.ndarray) -> None:
+    """Raise for the first resonant k in grid order."""
+    if np.any(resonant):
+        raise DegenerateResonance(f"resonant denominators at k={ks[np.argmax(resonant)]}")
+
+
+def _pencil(kind, k, xi, a, b, i_mat) -> ReducedPencil:
+    if np.ndim(k) == 0:
+        return ReducedPencil(kind, k, xi, a, b[0], i_mat[0])
+    return ReducedPencil(kind, np.asarray(k), xi, a, b, i_mat)
+
+
+# The entries are bit-identical to the same formulas in scalar Python
+# arithmetic.  Imaginary entries are written 1j * (real product) with the
+# factors in that order, since numpy's complex division by a real array
+# rounds differently; squares that the formulas take with ** use
+# float_power, which calls the same libm pow as a Python float.
+
+
+def build_bbm_pencil(sym: DispersionSymbol, k, xi: float, a: float) -> ReducedPencil:
+    """3x3 pencil for the unidirectional equation (stacked for a k-array)."""
+    ks, m, mp, mpp, m2 = _symbol_columns(sym, k)
+    _check_resonance(ks, (np.abs(m - 1.0) <= RESONANCE_TOL) | (np.abs(m - m2) <= RESONANCE_TOL))
+    e = ks * mp + 0.5 * ks * ks * mpp
     ratio = m2 * (m - 1.0) / (m - m2)
 
-    b = np.zeros((3, 3), dtype=complex)
-    b[2, 1] = a * m
-    b += 1j * xi * np.diag([-k * mp, -k * mp, m - 1.0])
-    b[0, 2] += -1j * xi * a * (2.0 + ratio)
-    b[2, 0] += -1j * xi * a * (m + k * mp + 0.5 * ratio)
-    b[0, 1] += xi * xi * e
-    b[1, 0] += -xi * xi * e
+    b = np.zeros((ks.size, 3, 3), dtype=complex)
+    b[:, 2, 1] = a * m
+    b[:, 0, 0] = b[:, 1, 1] = 1j * (xi * (-ks * mp))
+    b[:, 2, 2] = 1j * (xi * (m - 1.0))
+    b[:, 0, 2] = 1j * (-xi * a * (2.0 + ratio))
+    b[:, 2, 0] = 1j * (-xi * a * (m + ks * mp + 0.5 * ratio))
+    b[:, 0, 1] = xi * xi * e
+    b[:, 1, 0] = -xi * xi * e
 
-    i_mat = np.eye(3, dtype=complex)
+    i_mat = np.tile(np.eye(3, dtype=complex), (ks.size, 1, 1))
     s = m2 / (2.0 * (m - m2))
-    i_mat[0, 2] -= 2.0 * a * s
-    i_mat[2, 0] -= a * s
-    return ReducedPencil(EquationKind.BBM, k, xi, a, b, i_mat)
+    i_mat[:, 0, 2] -= 2.0 * a * s
+    i_mat[:, 2, 0] -= a * s
+    return _pencil(EquationKind.BBM, k, xi, a, b, i_mat)
 
 
-def build_bnesq_pencil(sym: DispersionSymbol, k: float, xi: float, a: float) -> ReducedPencil:
-    """4x4 pencil for the bidirectional system."""
-    if k <= 0:
-        raise ValueError("k must be positive")
-    m = eval_m(sym, k)
-    mp = d1_m(sym, k)
-    mpp = d2_m(sym, k)
-    m2 = eval_m(sym, 2 * k)
+def build_bnesq_pencil(sym: DispersionSymbol, k, xi: float, a: float) -> ReducedPencil:
+    """4x4 pencil for the bidirectional system (stacked for a k-array)."""
+    ks, m, mp, mpp, m2 = _symbol_columns(sym, k)
     msq, m2sq = m * m, m2 * m2
-    if abs(msq - 1.0) <= RESONANCE_TOL or abs(msq - m2sq) <= RESONANCE_TOL:
-        raise DegenerateResonance(f"resonant denominators at k={k}")
+    _check_resonance(
+        ks, (np.abs(msq - 1.0) <= RESONANCE_TOL) | (np.abs(msq - m2sq) <= RESONANCE_TOL)
+    )
     u2 = 0.5 * msq * m2sq / (msq - m2sq)
-    e = k * mp + 0.5 * k * k * mpp
+    e = ks * mp + 0.5 * ks * ks * mpp
 
-    b = np.zeros((4, 4), dtype=complex)
-    b[3, 1] = -0.5 * a * m * (msq + 1.0)
-    b += 1j * xi * np.array([
-        [-k * mp, 0.0, 0.0, 0.0],
-        [0.0, -k * mp, 0.0, 0.0],
-        [0.0, 0.0, m, 1.0],
-        [0.0, 0.0, 1.0, m],
-    ])
-    b[0, 2] += 2j * xi * a / (msq + 1.0) * (u2 - msq)
+    b = np.zeros((ks.size, 4, 4), dtype=complex)
+    b[:, 3, 1] = -0.5 * a * m * (msq + 1.0)
+    b[:, 0, 0] = b[:, 1, 1] = 1j * (xi * (-ks * mp))
+    b[:, 2, 2] = b[:, 3, 3] = 1j * (xi * m)
+    b[:, 2, 3] = b[:, 3, 2] = 1j * xi
+    b[:, 0, 2] = 1j * (2.0 * xi * a / (msq + 1.0) * (u2 - msq))
     # (1,4): m*U2 + k m'(m^2+2)/2, from the projection inner products
-    b[0, 3] += 2j * xi * a / (msq + 1.0) * (m * u2 + 0.5 * k * mp * (msq + 2.0))
-    b[2, 0] += 1j * xi * a * u2
-    b[3, 0] += 1j * xi * a * m * (0.5 * (msq + 3.0) + 2.0 * u2 + 2.0 * k * m * mp)
-    b[0, 1] += xi * xi * e
-    b[1, 0] += -xi * xi * e
+    b[:, 0, 3] = 1j * (2.0 * xi * a / (msq + 1.0) * (m * u2 + 0.5 * ks * mp * (msq + 2.0)))
+    b[:, 2, 0] = 1j * (xi * a * u2)
+    b[:, 3, 0] = 1j * (xi * a * m * (0.5 * (msq + 3.0) + 2.0 * u2 + 2.0 * ks * m * mp))
+    b[:, 0, 1] = xi * xi * e
+    b[:, 1, 0] = -xi * xi * e
 
-    i_mat = np.eye(4, dtype=complex)
+    i_mat = np.tile(np.eye(4, dtype=complex), (ks.size, 1, 1))
     w = 0.5 * a * (2.0 * u2 - msq - 2.0) / (msq + 1.0)
-    i_mat[0, 3] += 2.0 * w
-    i_mat[3, 0] += w * (msq + 1.0)
-    v = 0.5 * k * m * mp / (msq + 1.0) ** 2
-    i_mat[1, 3] += -1j * xi * a * 2.0 * v
-    i_mat[3, 1] += -1j * xi * a * v * (msq + 1.0)
-    return ReducedPencil(EquationKind.BOUSSINESQ, k, xi, a, b, i_mat)
+    i_mat[:, 0, 3] += 2.0 * w
+    i_mat[:, 3, 0] += w * (msq + 1.0)
+    v = 0.5 * ks * m * mp / np.float_power(msq + 1.0, 2)
+    i_mat[:, 1, 3] = 1j * (-xi * a * 2.0 * v)
+    i_mat[:, 3, 1] = 1j * (-xi * a * v * (msq + 1.0))
+    return _pencil(EquationKind.BOUSSINESQ, k, xi, a, b, i_mat)
 
 
-def build_pencil(kind: EquationKind, sym: DispersionSymbol, k: float, xi: float, a: float) -> ReducedPencil:
+def build_pencil(kind: EquationKind, sym: DispersionSymbol, k, xi: float, a: float) -> ReducedPencil:
     if kind is EquationKind.BBM:
         return build_bbm_pencil(sym, k, xi, a)
     if kind is EquationKind.BOUSSINESQ:
@@ -154,17 +202,18 @@ def build_pencil(kind: EquationKind, sym: DispersionSymbol, k: float, xi: float,
 
 def _charpoly_monic(m: np.ndarray) -> np.ndarray:
     """Coefficients (ascending powers, monic) of det(lambda I - M) by the
-    Faddeev-LeVerrier recursion."""
-    n = m.shape[0]
-    coeffs = np.zeros(n + 1, dtype=complex)
-    coeffs[n] = 1.0
+    Faddeev-LeVerrier recursion, for M of shape (..., n, n)."""
+    n = m.shape[-1]
+    eye = np.eye(n, dtype=complex)
+    coeffs = np.zeros(m.shape[:-2] + (n + 1,), dtype=complex)
+    coeffs[..., n] = 1.0
     mk = np.array(m, dtype=complex)
-    ck = -np.trace(mk)
-    coeffs[n - 1] = ck
+    ck = -np.trace(mk, axis1=-2, axis2=-1)
+    coeffs[..., n - 1] = ck
     for j in range(2, n + 1):
-        mk = m @ (mk + ck * np.eye(n, dtype=complex))
-        ck = -np.trace(mk) / j
-        coeffs[n - j] = ck
+        mk = m @ (mk + ck[..., None, None] * eye)
+        ck = -np.trace(mk, axis1=-2, axis2=-1) / j
+        coeffs[..., n - j] = ck
     return coeffs
 
 
@@ -178,14 +227,14 @@ class RescaledCharPoly:
     """
 
     degree: int
-    d: np.ndarray  # ascending: d[0]..d[degree]
+    d: np.ndarray  # ascending: d[..., 0]..d[..., degree], one row per k
 
     def standard_coefficients(self) -> np.ndarray:
         """Descending coefficients of the actual real polynomial in L."""
-        d = self.d
+        d = [self.d[..., i] for i in range(self.degree + 1)]
         if self.degree == 3:
-            return np.array([d[3], -d[2], -d[1], d[0]])
-        return np.array([d[4], -d[3], -d[2], d[1], d[0]])
+            return np.stack([d[3], -d[2], -d[1], d[0]], axis=-1)
+        return np.stack([d[4], -d[3], -d[2], d[1], d[0]], axis=-1)
 
     def roots(self) -> np.ndarray:
         from .numerics import poly_roots
@@ -194,11 +243,12 @@ class RescaledCharPoly:
 
 
 def rescaled_charpoly(pencil: ReducedPencil) -> RescaledCharPoly:
-    """Extract the real rescaled coefficients from the pencil.
+    """Extract the real rescaled coefficients from the pencil (or stack).
 
     Requires xi > 0.  Imaginary residues up to IMAG_RESIDUE_TOL (relative
     to the coefficient scale) are zeroed; larger residues indicate a
-    transcription or conditioning problem and raise.
+    transcription or conditioning problem and raise, for the first such
+    k of a stack.
     """
     xi = pencil.xi
     if xi == 0.0:
@@ -207,22 +257,26 @@ def rescaled_charpoly(pencil: ReducedPencil) -> RescaledCharPoly:
     g = np.linalg.solve(pencil.i_matrix, pencil.b_matrix) / (-1j * xi)
     monic = _charpoly_monic(g)  # ascending, monic in L
     det_i = np.linalg.det(pencil.i_matrix)
-    coeffs = det_i * monic
+    coeffs = np.expand_dims(det_i, -1) * monic
+    c = [coeffs[..., i] for i in range(size + 1)]
     if size == 3:
         # d3 = -det(I); (d3,-d2,-d1,d0) = -det(I)*(monic descending)
-        d = np.array([-coeffs[0], coeffs[1], coeffs[2], -coeffs[3]])
+        d = np.stack([-c[0], c[1], c[2], -c[3]], axis=-1)
     else:
-        d = np.array([coeffs[0], coeffs[1], -coeffs[2], -coeffs[3], coeffs[4]])
-    scale = float(np.max(np.abs(d))) or 1.0
-    if float(np.max(np.abs(d.imag))) > IMAG_RESIDUE_TOL * scale:
+        d = np.stack([c[0], c[1], -c[2], -c[3], c[4]], axis=-1)
+    scale = np.max(np.abs(d), axis=-1)
+    scale = np.where(scale == 0.0, 1.0, scale)
+    residue = np.max(np.abs(d.imag), axis=-1)
+    too_big = residue > IMAG_RESIDUE_TOL * scale
+    if np.any(too_big):
         raise NotRescalable(
-            f"imaginary residue {np.max(np.abs(d.imag)):.3e} exceeds "
+            f"imaginary residue {residue[too_big][0]:.3e} exceeds "
             f"{IMAG_RESIDUE_TOL:.0e} * scale"
         )
     return RescaledCharPoly(degree=size, d=d.real.copy())
 
 
-def disc_cubic(poly: RescaledCharPoly) -> float:
+def disc_cubic(poly: RescaledCharPoly):
     """Cubic discriminant in the d-coefficient convention.
 
     18 d3 d2 d1 d0 + d2^2 d1^2 + 4 d2^3 d0 + 4 d3 d1^3 - 27 d3^2 d0^2;
@@ -230,8 +284,8 @@ def disc_cubic(poly: RescaledCharPoly) -> float:
     """
     if poly.degree != 3:
         raise DegreeMismatch(f"expected degree 3, got {poly.degree}")
-    d0, d1, d2, d3 = poly.d
-    return float(
+    d0, d1, d2, d3 = (poly.d[..., i] for i in range(4))
+    return _unbox(
         18.0 * d3 * d2 * d1 * d0
         + d2 * d2 * d1 * d1
         + 4.0 * d2**3 * d0
@@ -240,18 +294,20 @@ def disc_cubic(poly: RescaledCharPoly) -> float:
     )
 
 
-def _quartic_standard(poly: RescaledCharPoly) -> np.ndarray:
+def _quartic_standard(poly: RescaledCharPoly) -> list[np.ndarray]:
+    """Standard coefficients as five arrays p4..p0."""
     if poly.degree != 4:
         raise DegreeMismatch(f"expected degree 4, got {poly.degree}")
     p = poly.standard_coefficients()
-    if p[0] == 0.0:
+    if np.any(p[..., 0] == 0.0):
         raise LeadingZero("quartic leading coefficient is zero")
-    return p
+    return [p[..., i] for i in range(5)]
 
 
-def quartic_disc(p4: float, p3: float, p2: float, p1: float, p0: float) -> float:
-    """Discriminant of p4 x^4 + p3 x^3 + p2 x^2 + p1 x + p0."""
-    return float(
+def quartic_disc(p4, p3, p2, p1, p0):
+    """Discriminant of p4 x^4 + p3 x^3 + p2 x^2 + p1 x + p0 (elementwise)."""
+    p4, p3, p2, p1, p0 = _coefficient_arrays(p4, p3, p2, p1, p0)
+    return _unbox(
         256 * p4**3 * p0**3
         - 192 * p4**2 * p3 * p1 * p0**2
         - 128 * p4**2 * p2**2 * p0**2
@@ -271,14 +327,16 @@ def quartic_disc(p4: float, p3: float, p2: float, p1: float, p0: float) -> float
     )
 
 
-def quartic_disc1(p4: float, p3: float, p2: float, p1: float, p0: float) -> float:
+def quartic_disc1(p4, p3, p2, p1, p0):
     """8 p4 p2 - 3 p3^2."""
-    return float(8.0 * p4 * p2 - 3.0 * p3 * p3)
+    p4, p3, p2, p1, p0 = _coefficient_arrays(p4, p3, p2, p1, p0)
+    return _unbox(8.0 * p4 * p2 - 3.0 * p3 * p3)
 
 
-def quartic_disc2(p4: float, p3: float, p2: float, p1: float, p0: float) -> float:
+def quartic_disc2(p4, p3, p2, p1, p0):
     """64 p4^3 p0 - 16 p4^2 p2^2 + 16 p4 p3^2 p2 - 16 p4^2 p3 p1 - 3 p3^4."""
-    return float(
+    p4, p3, p2, p1, p0 = _coefficient_arrays(p4, p3, p2, p1, p0)
+    return _unbox(
         64.0 * p4**3 * p0
         - 16.0 * p4**2 * p2**2
         + 16.0 * p4 * p3**2 * p2
@@ -287,16 +345,16 @@ def quartic_disc2(p4: float, p3: float, p2: float, p1: float, p0: float) -> floa
     )
 
 
-def disc_quartic(poly: RescaledCharPoly) -> float:
+def disc_quartic(poly: RescaledCharPoly):
     """Quartic discriminant of the rescaled polynomial (standard form)."""
     return quartic_disc(*_quartic_standard(poly))
 
 
-def disc1(poly: RescaledCharPoly) -> float:
+def disc1(poly: RescaledCharPoly):
     return quartic_disc1(*_quartic_standard(poly))
 
 
-def disc2(poly: RescaledCharPoly) -> float:
+def disc2(poly: RescaledCharPoly):
     return quartic_disc2(*_quartic_standard(poly))
 
 
@@ -309,50 +367,56 @@ class QuarticClass(enum.Enum):
 
 @dataclass(frozen=True)
 class QuarticClassification:
-    category: QuarticClass
-    disc: float
-    disc1: float
-    disc2: float
+    """One classification, or elementwise arrays of them (``category``
+    then holds QuarticClass members in an object array)."""
+
+    category: QuarticClass | np.ndarray
+    disc: float | np.ndarray
+    disc1: float | np.ndarray
+    disc2: float | np.ndarray
 
 
-def default_disc_tolerance(coeffs, power: int = 4) -> float:
-    """1e-12 times the coefficient scale raised to the stated power."""
-    scale = max(1e-300, float(np.max(np.abs(coeffs))))
-    return 1e-12 * scale**power
+def default_disc_tolerance(coeffs, power: int = 4):
+    """1e-12 times the coefficient scale raised to the stated power.
+    ``coeffs`` holds one polynomial per row of its last axis."""
+    scale = np.fmax(1e-300, np.max(np.abs(np.asarray(coeffs, dtype=float)), axis=-1))
+    return _unbox(1e-12 * scale**power)
 
 
-def classify_quartic(
-    p4: float, p3: float, p2: float, p1: float, p0: float, tol: float | None = None
-) -> QuarticClassification:
-    """Root-type classification of a real quartic by discriminant signs.
+#: QuarticClass by the codes classify_quartic computes
+_CATEGORY_BY_CODE = np.array(
+    [QuarticClass.DEGENERATE, QuarticClass.TWO_REAL_ONE_PAIR,
+     QuarticClass.FOUR_REAL, QuarticClass.TWO_PAIRS],
+    dtype=object,
+)
+
+
+def classify_quartic(p4, p3, p2, p1, p0, tol=None) -> QuarticClassification:
+    """Root-type classification of a real quartic by discriminant signs,
+    elementwise over coefficient arrays.
 
     disc<0: two real roots and one conjugate pair; disc>0 with disc1<0 and
     disc2<0: four real roots; disc>0 with disc1>0 or disc2>0: two
     conjugate pairs.  |disc|<=tol (or a boundary sign pattern) returns
     Degenerate rather than guessing.
     """
-    if p4 == 0.0:
+    p = _coefficient_arrays(p4, p3, p2, p1, p0)
+    if np.any(p[0] == 0.0):
         raise LeadingZero("quartic leading coefficient is zero")
-    p = (p4, p3, p2, p1, p0)
     if tol is None:
-        tol = default_disc_tolerance(p)
+        tol = default_disc_tolerance(np.stack(np.broadcast_arrays(*p), axis=-1))
     d = quartic_disc(*p)
     d1 = quartic_disc1(*p)
     d2 = quartic_disc2(*p)
-    if abs(d) <= tol:
-        cat = QuarticClass.DEGENERATE
-    elif d < 0.0:
-        cat = QuarticClass.TWO_REAL_ONE_PAIR
-    elif d1 < 0.0 and d2 < 0.0:
-        cat = QuarticClass.FOUR_REAL
-    elif d1 > 0.0 or d2 > 0.0:
-        cat = QuarticClass.TWO_PAIRS
-    else:
-        cat = QuarticClass.DEGENERATE
-    return QuarticClassification(category=cat, disc=d, disc1=d1, disc2=d2)
+    code = np.select(
+        [np.abs(d) <= tol, d < 0.0, (d1 < 0.0) & (d2 < 0.0), (d1 > 0.0) | (d2 > 0.0)],
+        [0, 1, 2, 3],
+        default=0,
+    )
+    return QuarticClassification(category=_CATEGORY_BY_CODE[code], disc=d, disc1=d1, disc2=d2)
 
 
-def classify_rescaled(poly: RescaledCharPoly, tol: float | None = None) -> QuarticClassification:
+def classify_rescaled(poly: RescaledCharPoly, tol=None) -> QuarticClassification:
     return classify_quartic(*_quartic_standard(poly), tol=tol)
 
 
@@ -383,6 +447,37 @@ class PencilVerdict(enum.Enum):
     DEGENERATE = "Degenerate"
 
 
+def pencil_verdicts(
+    kind: EquationKind,
+    sym: DispersionSymbol,
+    reports: list[IndexReport],
+    xi: float = 1e-2,
+    a: float = 1e-2,
+) -> list[PencilVerdict]:
+    """pencil_verdict at the k of every index report of a grid.
+
+    The k whose index is not degenerate go through one stacked pencil
+    build, rescaled charpoly and classification.
+    """
+    verdicts = [PencilVerdict.DEGENERATE] * len(reports)
+    live = [i for i, r in enumerate(reports) if r.verdict is not Verdict.DEGENERATE]
+    if not live:
+        return verdicts
+    poly = rescaled_charpoly(build_pencil(kind, sym, np.array([reports[i].k for i in live]), xi, a))
+    if kind is EquationKind.BBM:
+        disc = disc_cubic(poly)
+        degenerate = np.abs(disc) <= default_disc_tolerance(poly.d)
+        unstable = disc < 0
+    else:
+        category = classify_rescaled(poly).category
+        degenerate = category == QuarticClass.DEGENERATE
+        unstable = category != QuarticClass.FOUR_REAL
+    for i, deg, unst in zip(live, degenerate.tolist(), unstable.tolist()):
+        if not deg:
+            verdicts[i] = PencilVerdict.UNSTABLE if unst else PencilVerdict.STABLE
+    return verdicts
+
+
 def pencil_verdict(
     kind: EquationKind,
     sym: DispersionSymbol,
@@ -398,20 +493,4 @@ def pencil_verdict(
     pairs: unstable).  A degenerate index (threshold wave number) is
     reported as Degenerate without consulting the discriminant.
     """
-    report = ind(kind, sym, k)
-    if report.verdict is Verdict.DEGENERATE:
-        return PencilVerdict.DEGENERATE
-    pencil = build_pencil(kind, sym, k, xi, a)
-    poly = rescaled_charpoly(pencil)
-    if kind is EquationKind.BBM:
-        disc = disc_cubic(poly)
-        tol = default_disc_tolerance(poly.d)
-        if abs(disc) <= tol:
-            return PencilVerdict.DEGENERATE
-        return PencilVerdict.UNSTABLE if disc < 0 else PencilVerdict.STABLE
-    cls = classify_rescaled(poly)
-    if cls.category is QuarticClass.DEGENERATE:
-        return PencilVerdict.DEGENERATE
-    if cls.category is QuarticClass.FOUR_REAL:
-        return PencilVerdict.STABLE
-    return PencilVerdict.UNSTABLE
+    return pencil_verdicts(kind, sym, [ind(kind, sym, k)], xi, a)[0]

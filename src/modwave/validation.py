@@ -256,21 +256,15 @@ def _root_classification(coeffs: np.ndarray) -> QuarticClass:
 def check_quartic_classifier() -> CheckResult:
     rng = property_rng()
     total = 10_000
-    tested = 0
-    disagreements = 0
-    for _ in range(total):
-        coeffs = rng.normal(0.0, 1.0, size=5)
-        if abs(coeffs[0]) < 1e-3:
-            coeffs[0] = 1.0
-        scale = float(np.max(np.abs(coeffs)))
-        disc = quartic_disc(*coeffs)
-        if abs(disc) <= 1e-8 * scale:
-            continue
-        tested += 1
-        cls = classify_quartic(*coeffs, tol=0.0)
-        oracle = _root_classification(coeffs)
-        if cls.category is not oracle:
-            disagreements += 1
+    coeffs = rng.normal(0.0, 1.0, size=(total, 5))  # row i: the i-th five draws
+    coeffs[np.abs(coeffs[:, 0]) < 1e-3, 0] = 1.0
+    scale = np.max(np.abs(coeffs), axis=1)
+    decisive = coeffs[np.abs(quartic_disc(*coeffs.T)) > 1e-8 * scale]
+    tested = len(decisive)
+    categories = classify_quartic(*decisive.T, tol=0.0).category
+    disagreements = sum(
+        cat is not _root_classification(c) for cat, c in zip(categories, decisive)
+    )
     ok = disagreements == 0
     return CheckResult(
         "quartic-classifier", ok,

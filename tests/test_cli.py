@@ -1,11 +1,17 @@
+import argparse
+import dataclasses
 import json
 import math
 
 import pytest
 
-from modwave.cli import main
+from modwave.cli import _PENCIL_TO_INDEX, cmd_diagram, main
 from modwave.config import RunConfig, load_config, merge_overrides
+from modwave.dispersion import fractional_symbol
 from modwave.errors import ConfigError
+from modwave.indices import Verdict, ind
+from modwave.pencil import pencil_verdict
+from modwave.stokes import EquationKind
 
 
 def run(args):
@@ -43,6 +49,43 @@ def test_index_boussinesq_all_stable(tmp_path):
     ]) == 0
     verdicts = {line.split(",")[8] for line in read(out).splitlines()[1:]}
     assert verdicts == {"ModulationallyStableNearOrigin"}
+
+
+def test_index_boussinesq_fractional_matches_per_k(tmp_path):
+    # alpha = 3 mixes index-decided rows with pencil-decided Stable,
+    # Unstable and Degenerate rows, so a verdict written back to the
+    # wrong row shows
+    out = tmp_path / "frac.csv"
+    assert run([
+        "index", "--equation", "boussinesq", "--symbol", "fractional", "--alpha", "3",
+        "--k-range", "0.05", "3", "--k-steps", "2001", "-o", str(out),
+    ]) == 0
+    rows = [line.split(",") for line in read(out).splitlines()[1:]]
+    sym = fractional_symbol(3.0)
+    expected, sources = [], set()
+    for k in RunConfig(k_range=(0.05, 3.0), k_steps=2001).k_values():
+        verdict = ind(EquationKind.BOUSSINESQ, sym, k).verdict
+        if verdict is Verdict.INCONCLUSIVE:
+            verdict = _PENCIL_TO_INDEX[pencil_verdict(EquationKind.BOUSSINESQ, sym, k)]
+            sources.add(("pencil", verdict))
+        else:
+            sources.add(("index", verdict))
+        expected.append((repr(k), verdict.value))
+    assert [(r[0], r[8]) for r in rows] == expected
+    assert {
+        ("pencil", Verdict.STABLE_NEAR_ORIGIN),
+        ("pencil", Verdict.MODULATIONALLY_UNSTABLE),
+        ("pencil", Verdict.DEGENERATE),
+        ("index", Verdict.MODULATIONALLY_UNSTABLE),
+    } <= sources
+    # pinned rows next to where the pencil's root type changes: their
+    # discriminants are within a few times the default tolerance
+    pinned = {r[0]: r[8] for r in rows[59:62]}
+    assert pinned == {
+        "0.137025": "ModulationallyStableNearOrigin",
+        "0.1385": "Degenerate",
+        "0.13997500000000002": "ModulationallyUnstable",
+    }
 
 
 def test_index_degenerate_kdv(tmp_path):
@@ -146,6 +189,15 @@ def test_diagram(tmp_path):
     assert float(k_bbm) > float(k_bq)
     text = read(svg)
     assert "<svg" in text and "polyline" in text
+
+
+def test_diagram_leaves_config_unchanged(tmp_path):
+    cfg = RunConfig(alpha_range=(2.5, 3.5), alpha_steps=2, k_steps=11,
+                    output=str(tmp_path / "grid.csv"))
+    before = dataclasses.replace(cfg)
+    assert cmd_diagram(cfg, argparse.Namespace()) == 0
+    assert cfg == before and cfg.k_range is None
+    assert read(tmp_path / "grid.csv").splitlines()[2].startswith("2.5,0.05,")
 
 
 def test_resonances(tmp_path):

@@ -12,7 +12,7 @@ from modwave.errors import (
     NotRescalable,
     UnsupportedKind,
 )
-from modwave.indices import base_indices, ind
+from modwave.indices import Verdict, base_indices, ind
 from modwave.numerics import poly_roots, property_rng
 from modwave.pencil import (
     PencilVerdict,
@@ -29,6 +29,7 @@ from modwave.pencil import (
     disc_cubic,
     disc_quartic,
     pencil_verdict,
+    pencil_verdicts,
     quartic_disc,
     rescaled_charpoly,
 )
@@ -242,3 +243,62 @@ def test_bbm_fractional_disc_threshold_matches_index(frac3):
     below = disc_cubic(rescaled_charpoly(build_bbm_pencil(frac3, k_star - 0.05, 1e-4, 1e-2)))
     above = disc_cubic(rescaled_charpoly(build_bbm_pencil(frac3, k_star + 0.05, 1e-4, 1e-2)))
     assert below > 0 > above
+
+
+def test_pencil_verdict_fractional_far_from_origin(frac3):
+    # disc = -1.6e21 with roots 77 +/- 13i, -43, -28: clearly a complex pair
+    assert pencil_verdict(EquationKind.BOUSSINESQ, frac3, 3.0) is PencilVerdict.UNSTABLE
+
+
+def test_classify_elementwise_matches_scalar():
+    rng = property_rng()
+    coeffs = rng.normal(0.0, 1.0, size=(300, 5))
+    coeffs[:, 0] += np.sign(coeffs[:, 0])
+    batch = classify_quartic(*coeffs.T)
+    for i, row in enumerate(coeffs):
+        one = classify_quartic(*row)
+        assert batch.category[i] is one.category
+        assert (batch.disc[i], batch.disc1[i], batch.disc2[i]) == (one.disc, one.disc1, one.disc2)
+
+
+def test_stacked_pencils_match_one_k(bbm, boussinesq, frac3):
+    ks = np.linspace(0.1, 3.0, 57)
+    for kind, sym in (
+        (EquationKind.BBM, bbm),
+        (EquationKind.BOUSSINESQ, boussinesq),
+        (EquationKind.BOUSSINESQ, frac3),
+    ):
+        size = 3 if kind is EquationKind.BBM else 4
+        stack = build_pencil(kind, sym, ks, 1e-2, 1e-2)
+        assert stack.b_matrix.shape == stack.i_matrix.shape == (ks.size, size, size)
+        rows = rescaled_charpoly(stack).d
+        assert rows.shape == (ks.size, size + 1)
+        for i, k in enumerate(ks.tolist()):
+            one = build_pencil(kind, sym, k, 1e-2, 1e-2)
+            assert one.b_matrix.shape == (size, size)
+            assert np.array_equal(stack.b_matrix[i], one.b_matrix)
+            assert np.array_equal(stack.i_matrix[i], one.i_matrix)
+            assert np.array_equal(rows[i], rescaled_charpoly(one).d), (kind, k)
+        with pytest.raises(ValueError, match="single pencil"):
+            stack.eigenvalues()
+
+
+def test_pencil_verdicts_grid(bbm):
+    ks = [1.0, math.sqrt(3.0), 2.0]
+    reports = [ind(EquationKind.BBM, bbm, k) for k in ks]
+    assert pencil_verdicts(EquationKind.BBM, bbm, reports) == [
+        PencilVerdict.STABLE, PencilVerdict.DEGENERATE, PencilVerdict.UNSTABLE,
+    ]
+
+
+def test_pencil_verdicts_names_first_resonant_k():
+    from modwave.dispersion import parse_symbol
+
+    # m(k) = 1 at k = 1 and k = 3, where the 4x4 pencil is resonant while
+    # the index stays finite
+    sym = parse_symbol("1 + k^2*(k^2-1)*(k^2-9)")
+    ks = [0.5, 3.0, 2.0, 1.0]
+    reports = [ind(EquationKind.BOUSSINESQ, sym, k) for k in ks]
+    assert all(r.verdict is not Verdict.DEGENERATE for r in reports)
+    with pytest.raises(DegenerateResonance, match=r"^resonant denominators at k=3\.0$"):
+        pencil_verdicts(EquationKind.BOUSSINESQ, sym, reports)
