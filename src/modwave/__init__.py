@@ -8,11 +8,10 @@ from .dispersion import (
     boussinesq_symbol,
     builtin_symbol,
     check_assumptions,
-    d1_m,
-    d2_m,
     eval_m,
     fractional_symbol,
     group_speed,
+    jet_m,
     parse_symbol,
     phase_speed,
     symbol_from_config,

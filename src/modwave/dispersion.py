@@ -1,15 +1,15 @@
 """Fourier-multiplier dispersion symbols m(k).
 
 Built-in families, a small expression parser for user-defined symbols,
-derivative evaluation, and empirical verification of the structural
-assumptions (smoothness, evenness with m(0)=1, power-law tails, absence
-of harmonic resonances m(k)=m(nk)).
+exact derivatives through second-order jets (m, m', m''), and empirical
+verification of the structural assumptions (smoothness, evenness with
+m(0)=1, power-law tails, absence of harmonic resonances m(k)=m(nk)).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -17,25 +17,24 @@ import numpy as np
 from .errors import EmptyGrid, NonFinite, ParseError
 from .numerics import Bracket, find_root
 
-#: finite-difference steps for fallback derivatives
-_H1 = 1e-5
-_H2 = 1e-4
+#: second-order Taylor jet (f, f', f'') of a function at one point
+Jet = tuple[float, float, float]
 
 
 @dataclass(frozen=True)
 class DispersionSymbol:
-    """Evaluable dispersion symbol m(k) with optional analytic derivatives.
+    """Evaluable dispersion symbol m(k) with its exact derivative jet.
 
     ``raw`` is the symbol as supplied (used for evenness checks); public
     evaluation goes through :func:`eval_m`, which symmetrizes to |k|.
-    ``alpha`` is the nominal growth exponent of the large-k tail when
-    known, ``params`` any named parameters of the family.
+    ``jet`` returns (m, m', m'') for k >= 0; :func:`jet_m` extends it to
+    every k.  ``alpha`` is the nominal growth exponent of the large-k tail
+    when known, ``params`` any named parameters of the family.
     """
 
     name: str
     raw: Callable[[float], float]
-    d1: Callable[[float], float] | None = None
-    d2: Callable[[float], float] | None = None
+    jet: Callable[[float], Jet]
     alpha: float | None = None
     params: dict[str, float] = field(default_factory=dict)
     warnings: tuple[str, ...] = ()
@@ -49,29 +48,12 @@ def eval_m(sym: DispersionSymbol, k: float) -> float:
     return val
 
 
-def d1_m(sym: DispersionSymbol, k: float) -> float:
-    """First derivative m'(k), analytic when available."""
-    s = -1.0 if k < 0 else 1.0
-    if sym.d1 is not None:
-        val = s * sym.d1(abs(k))
-    else:
-        h = _H1 * max(1.0, abs(k))
-        val = (eval_m(sym, k + h) - eval_m(sym, k - h)) / (2.0 * h)
-    if not math.isfinite(val):
-        raise NonFinite(f"{sym.name}'({k}) is not finite")
-    return val
-
-
-def d2_m(sym: DispersionSymbol, k: float) -> float:
-    """Second derivative m''(k), analytic when available."""
-    if sym.d2 is not None:
-        val = sym.d2(abs(k))
-    else:
-        h = _H2 * max(1.0, abs(k))
-        val = (eval_m(sym, k + h) - 2.0 * eval_m(sym, k) + eval_m(sym, k - h)) / (h * h)
-    if not math.isfinite(val):
-        raise NonFinite(f"{sym.name}''({k}) is not finite")
-    return val
+def jet_m(sym: DispersionSymbol, k: float) -> Jet:
+    """(m(k), m'(k), m''(k)), exact; m' is odd in k and m'' even."""
+    m, m1, m2 = sym.jet(abs(k))
+    if not (math.isfinite(m) and math.isfinite(m1) and math.isfinite(m2)):
+        raise NonFinite(f"jet of {sym.name} at k={k} is not finite: {(m, m1, m2)}")
+    return m, (-m1 if k < 0 else m1), m2
 
 
 def phase_speed(sym: DispersionSymbol, k: float) -> float:
@@ -81,7 +63,57 @@ def phase_speed(sym: DispersionSymbol, k: float) -> float:
 
 def group_speed(sym: DispersionSymbol, k: float) -> float:
     """Group speed (k m(k))' = m(k) + k m'(k)."""
-    return eval_m(sym, k) + k * d1_m(sym, k)
+    m, m1, _ = jet_m(sym, k)
+    return m + k * m1
+
+
+# ---------------------------------------------------------------------------
+# Jet arithmetic: forward-mode second-order rules (Griewank & Walther,
+# "Evaluating Derivatives", ch. 13).  The value is the same float operation
+# as plain evaluation and alone raises; a derivative that does not exist
+# where the value does comes out inf or nan.
+# ---------------------------------------------------------------------------
+
+
+def _power(a: float, p: float) -> float:
+    """a**p in a derivative term: inf where it has no finite value."""
+    try:
+        return a**p
+    except (ZeroDivisionError, OverflowError):
+        return math.inf
+
+
+def _chain(x: Jet, g: float, g1: float, g2: float) -> Jet:
+    """Jet of g(a(k)) from the jet x of a and g, g', g'' at a."""
+    return g, g1 * x[1], g2 * x[1] * x[1] + g1 * x[2]
+
+
+def _pow_jet(x: Jet, y: Jet) -> Jet:
+    a, a1, a2 = x
+    b, b1, b2 = y
+    v = a**b
+    if b1 == 0.0 and b2 == 0.0:  # constant exponent: the power rule
+        return _chain(x, v, b * _power(a, b - 1.0), b * (b - 1.0) * _power(a, b - 2.0))
+    if not a > 0.0:
+        return v, math.nan, math.nan
+    # a**b = exp(u) with u = b log a
+    lg, r1 = math.log(a), a1 / a
+    u1 = b1 * lg + b * r1
+    u2 = b2 * lg + 2.0 * b1 * r1 + b * (a2 / a - r1 * r1)
+    return v, v * u1, v * (u2 + u1 * u1)
+
+
+def _sqrt_jet(x: Jet) -> Jet:
+    v = math.sqrt(x[0])
+    g1 = 0.5 / v if v else math.inf
+    return _chain(x, v, g1, -2.0 * g1 * g1 * g1)
+
+
+def _tanh_jet(x: Jet) -> Jet:
+    t = math.tanh(x[0])
+    e = math.exp(-2.0 * abs(x[0]))
+    s = 4.0 * e / (1.0 + e) ** 2  # sech^2 without the cancellation in 1 - t^2
+    return _chain(x, t, s, -2.0 * t * s)
 
 
 # ---------------------------------------------------------------------------
@@ -112,84 +144,53 @@ def _whitham_g2(k: float) -> float:
     return -2.0 * s2 * t / k - 2.0 * s2 / (k * k) + 2.0 * t / (k**3)
 
 
-def _whitham(k: float) -> float:
-    return math.sqrt(_whitham_g(k))
-
-
-def _whitham_d1(k: float) -> float:
-    return _whitham_g1(k) / (2.0 * _whitham(k))
-
-
-def _whitham_d2(k: float) -> float:
-    g = _whitham_g(k)
-    g1 = _whitham_g1(k)
-    return _whitham_g2(k) / (2.0 * math.sqrt(g)) - g1 * g1 / (4.0 * g**1.5)
-
-
 def bbm_symbol() -> DispersionSymbol:
     """m(k) = 1/(1+k^2)."""
-    return DispersionSymbol(
-        name="bbm",
-        raw=lambda k: 1.0 / (1.0 + k * k),
-        d1=lambda k: -2.0 * k / (1.0 + k * k) ** 2,
-        d2=lambda k: (6.0 * k * k - 2.0) / (1.0 + k * k) ** 3,
-        alpha=-2.0,
-    )
+
+    def jet(k: float) -> Jet:
+        q = 1.0 + k * k
+        return 1.0 / q, -2.0 * k / q**2, (6.0 * k * k - 2.0) / q**3
+
+    return DispersionSymbol(name="bbm", raw=lambda k: 1.0 / (1.0 + k * k), jet=jet, alpha=-2.0)
 
 
 def boussinesq_symbol() -> DispersionSymbol:
     """m(k) = (1+k^2)^(-1/2)."""
+
+    def jet(k: float) -> Jet:
+        q = 1.0 + k * k
+        return q**-0.5, -k * q**-1.5, (2.0 * k * k - 1.0) * q**-2.5
+
     return DispersionSymbol(
-        name="boussinesq",
-        raw=lambda k: (1.0 + k * k) ** -0.5,
-        d1=lambda k: -k * (1.0 + k * k) ** -1.5,
-        d2=lambda k: (2.0 * k * k - 1.0) * (1.0 + k * k) ** -2.5,
-        alpha=-1.0,
+        name="boussinesq", raw=lambda k: (1.0 + k * k) ** -0.5, jet=jet, alpha=-1.0
     )
 
 
 def fractional_symbol(alpha: float) -> DispersionSymbol:
     """m(k) = 1 + |k|^alpha.
 
-    Twice continuously differentiable at 0 only for alpha >= 2; derivatives
-    at k = 0 for smaller alpha raise NonFinite where genuinely unbounded.
+    Twice continuously differentiable at 0 only for alpha >= 2; where a
+    derivative is unbounded at k = 0 the jet is not finite there.
     """
-
-    def d1(k: float) -> float:
-        if k == 0.0:
-            if alpha > 1.0:
-                return 0.0
-            raise NonFinite(f"fractional symbol with alpha={alpha} has no m'(0)")
-        return alpha * k ** (alpha - 1.0)
-
-    def d2(k: float) -> float:
-        if k == 0.0:
-            if alpha == 2.0:
-                return 2.0
-            if alpha > 2.0:
-                return 0.0
-            raise NonFinite(f"fractional symbol with alpha={alpha} has no m''(0)")
-        return alpha * (alpha - 1.0) * k ** (alpha - 2.0)
 
     def raw(k: float) -> float:
         if k == 0.0:
             return 1.0 if alpha > 0.0 else math.inf
-        return 1.0 + k**alpha
+        return 1.0 + abs(k) ** alpha
 
-    return DispersionSymbol(
-        name=f"fractional(alpha={alpha:g})",
-        raw=raw,
-        d1=d1,
-        d2=d2,
-        alpha=alpha,
-        params={"alpha": alpha},
-    )
+    def jet(k: float) -> Jet:
+        p1, p2 = _power(k, alpha - 1.0), _power(k, alpha - 2.0)
+        return raw(k), alpha * p1, alpha * (alpha - 1.0) * p2
+
+    return DispersionSymbol(name=f"fractional(alpha={alpha:g})", raw=raw, jet=jet, alpha=alpha,
+                            params={"alpha": alpha})
 
 
 def whitham_symbol() -> DispersionSymbol:
     """m(k) = sqrt(tanh(k)/k), with m(0) = 1 by the Taylor limit."""
     return DispersionSymbol(
-        name="whitham", raw=_whitham, d1=_whitham_d1, d2=_whitham_d2, alpha=-0.5
+        name="whitham", raw=lambda k: math.sqrt(_whitham_g(k)), alpha=-0.5,
+        jet=lambda k: _sqrt_jet((_whitham_g(k), _whitham_g1(k), _whitham_g2(k))),
     )
 
 
@@ -218,13 +219,13 @@ def builtin_symbol(name: str, **params: float) -> DispersionSymbol:
 # right-associative '^'.
 # ---------------------------------------------------------------------------
 
-_FUNCTIONS: dict[str, tuple[int, Callable]] = {
-    "sqrt": (1, math.sqrt),
-    "tanh": (1, math.tanh),
-    "abs": (1, abs),
-    "exp": (1, math.exp),
-    "cos": (1, math.cos),
-    "pow": (2, lambda x, y: x**y),
+_FUNCTIONS: dict[str, tuple[int, Callable[..., Jet]]] = {
+    "sqrt": (1, _sqrt_jet),
+    "tanh": (1, _tanh_jet),
+    "abs": (1, lambda x: _chain(x, abs(x[0]), math.copysign(1.0, x[0]), 0.0)),
+    "exp": (1, lambda x: _chain(x, *[math.exp(x[0])] * 3)),
+    "cos": (1, lambda x: _chain(x, math.cos(x[0]), -math.sin(x[0]), -math.cos(x[0]))),
+    "pow": (2, _pow_jet),
 }
 
 
@@ -362,27 +363,32 @@ class _Parser:
                          ("number", "identifier", "("))
 
 
-def _eval_node(node, k: float) -> float:
+def _jet_node(node, k: float) -> Jet:
+    """(f, f', f'') of an expression node at k."""
     op = node[0]
     if op == "num":
-        return node[1]
+        return node[1], 0.0, 0.0
     if op == "var":
-        return k
+        return k, 1.0, 0.0
     if op == "neg":
-        return -_eval_node(node[1], k)
-    if op == "add":
-        return _eval_node(node[1], k) + _eval_node(node[2], k)
-    if op == "sub":
-        return _eval_node(node[1], k) - _eval_node(node[2], k)
-    if op == "mul":
-        return _eval_node(node[1], k) * _eval_node(node[2], k)
-    if op == "div":
-        return _eval_node(node[1], k) / _eval_node(node[2], k)
-    if op == "pow":
-        return _eval_node(node[1], k) ** _eval_node(node[2], k)
+        a, a1, a2 = _jet_node(node[1], k)
+        return -a, -a1, -a2
     if op == "call":
-        args = [_eval_node(a, k) for a in node[2]]
-        return _FUNCTIONS[node[1]][1](*args)
+        return _FUNCTIONS[node[1]][1](*(_jet_node(arg, k) for arg in node[2]))
+    x, y = _jet_node(node[1], k), _jet_node(node[2], k)
+    if op == "pow":
+        return _pow_jet(x, y)
+    (a, a1, a2), (b, b1, b2) = x, y
+    if op == "add":
+        return a + b, a1 + b1, a2 + b2
+    if op == "sub":
+        return a - b, a1 - b1, a2 - b2
+    if op == "mul":
+        return a * b, a1 * b + a * b1, a2 * b + 2.0 * a1 * b1 + a * b2
+    if op == "div":
+        q = a / b
+        q1 = (a1 - q * b1) / b
+        return q, q1, (a2 - 2.0 * q1 * b1 - q * b2) / b
     raise AssertionError(f"unknown node {op}")
 
 
@@ -393,34 +399,32 @@ def parse_symbol(expr: str, params: dict[str, float] | None = None) -> Dispersio
     """Compile a textual expression in k into a DispersionSymbol.
 
     Removable singularities (0/0 at isolated points) are filled by a
-    numerical limit.  The result carries warnings when the expression
-    violates m(0)=1 or evenness on a probe grid.
+    numerical limit of the whole jet.  The result carries warnings when
+    the expression violates m(0)=1 or evenness on a probe grid.
     """
     params = dict(params or {})
     ast = _Parser(expr, params).parse()
 
-    def raw(k: float) -> float:
+    def at(k: float) -> Jet:
         try:
-            val = _eval_node(ast, k)
+            return _jet_node(ast, k)
         except (ZeroDivisionError, ValueError, OverflowError):
-            val = math.nan
-        if math.isfinite(val):
-            return val
-        # probe the two-sided limit for removable singularities
+            return math.nan, math.nan, math.nan
+
+    def jet(k: float) -> Jet:
+        j = at(k)
+        if math.isfinite(j[0]):
+            return j
+        # probe the two-sided limit of the value's removable singularity
         h = 1e-6 * max(1.0, abs(k))
-        samples = []
-        for kk in (k - 2 * h, k - h, k + h, k + 2 * h):
-            try:
-                v = _eval_node(ast, kk)
-            except (ZeroDivisionError, ValueError, OverflowError):
-                continue
-            if math.isfinite(v):
-                samples.append(v)
-        if len(samples) >= 2 and max(samples) - min(samples) <= 1e-6 * max(
-            1.0, abs(samples[0])
-        ):
-            return float(np.mean(samples))
+        samples = [s for s in map(at, (k - 2 * h, k - h, k + h, k + 2 * h)) if math.isfinite(s[0])]
+        values = [s[0] for s in samples]
+        if len(samples) >= 2 and max(values) - min(values) <= 1e-6 * max(1.0, abs(values[0])):
+            return tuple(float(np.mean(c)) for c in zip(*samples))
         raise NonFinite(f"expression {expr!r} is not finite at k={k}")
+
+    def raw(k: float) -> float:
+        return jet(k)[0]
 
     warnings = []
     try:
@@ -440,7 +444,7 @@ def parse_symbol(expr: str, params: dict[str, float] | None = None) -> Dispersio
             break
 
     return DispersionSymbol(
-        name=f"expr[{expr}]", raw=raw, params=params, warnings=tuple(warnings)
+        name=f"expr[{expr}]", raw=raw, jet=jet, params=params, warnings=tuple(warnings)
     )
 
 
@@ -457,10 +461,7 @@ def symbol_from_config(spec: dict) -> DispersionSymbol:
     else:
         raise KeyError("symbol declaration needs 'builtin' or 'expr'")
     if "name" in spec:
-        sym = DispersionSymbol(
-            name=spec["name"], raw=sym.raw, d1=sym.d1, d2=sym.d2,
-            alpha=sym.alpha, params=sym.params, warnings=sym.warnings,
-        )
+        sym = replace(sym, name=spec["name"])
     return sym
 
 
@@ -502,31 +503,25 @@ def check_assumptions(
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
 
-    # (M1): derivative values finite and consistent with central differences
-    m1_ok = True
-    for k in grid:
+    # (M1): the jet is finite and consistent with central differences
+    def jet_ok(k: float) -> bool:
         try:
-            d_an = d1_m(sym, float(k))
-            h = 1e-5 * max(1.0, abs(k))
-            d_fd = (eval_m(sym, k + h) - eval_m(sym, k - h)) / (2 * h)
-            d2_m(sym, float(k))
+            _, d1, d2 = jet_m(sym, k)
+            h1, h2 = 1e-5 * max(1.0, abs(k)), 1e-4 * max(1.0, abs(k))
+            fd1 = (eval_m(sym, k + h1) - eval_m(sym, k - h1)) / (2 * h1)
+            fd2 = (eval_m(sym, k + h2) - 2.0 * eval_m(sym, k) + eval_m(sym, k - h2)) / (h2 * h2)
         except NonFinite:
-            m1_ok = False
-            break
-        if abs(d_an - d_fd) > 1e-3 * max(1.0, abs(d_an)):
-            m1_ok = False
-            break
+            return False
+        return max(abs(d1 - fd1) / max(1.0, abs(d1)), abs(d2 - fd2) / max(1.0, abs(d2))) <= 1e-3
+
+    m1_ok = all(jet_ok(k) for k in grid.tolist())
 
     # (M2): normalization and evenness of the raw expression
-    m2_ok = True
     try:
-        if abs(sym.raw(0.0) - 1.0) > 1e-12:
-            m2_ok = False
-        for k in grid[:: max(1, grid.size // 16)]:
-            if abs(sym.raw(float(-k)) - sym.raw(float(k))) > 1e-12:
-                m2_ok = False
-                break
-    except Exception:
+        probe = grid[:: max(1, grid.size // 16)].tolist()
+        m2_ok = abs(sym.raw(0.0) - 1.0) <= 1e-12 and all(
+            abs(sym.raw(-k) - sym.raw(k)) <= 1e-12 for k in probe)
+    except NonFinite:
         m2_ok = False
 
     # (M3): power-law envelope over the top decade of the grid

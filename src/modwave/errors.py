@@ -36,7 +36,7 @@ class DegenerateResonance(ModwaveError):
 
 
 class NoConvergence(ModwaveError):
-    """Newton iteration failed to reach the requested residual."""
+    """An iteration failed to reach the requested residual or tolerance."""
 
     def __init__(self, iterations: int, residual: float):
         self.iterations = iterations

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import DispersionSymbol, d1_m, d2_m, eval_m
+from .dispersion import DispersionSymbol, eval_m, jet_m
 from .errors import UnsupportedKind
 from .numerics import Bracket, find_root
 from .stokes import EquationKind
@@ -51,9 +51,7 @@ def base_indices(sym: DispersionSymbol, k: float) -> tuple[float, float, float, 
     """
     if k <= 0:
         raise ValueError("k must be positive")
-    m = eval_m(sym, k)
-    mp = d1_m(sym, k)
-    mpp = d2_m(sym, k)
+    m, mp, mpp = jet_m(sym, k)
     m2 = eval_m(sym, 2 * k)
     i1 = 2.0 * mp + k * mpp
     gs = m + k * mp

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EigenFailure, LeadingZero, NoBracket
+from .errors import EigenFailure, LeadingZero, NoBracket, NoConvergence
 
 # Fixed seed for every randomized property test in the suite.
 PROPERTY_TEST_SEED = 0x5EED_0D15_9E45_0001
@@ -48,7 +48,8 @@ class Bracket:
 def find_root(f: Callable[[float], float], bracket: Bracket, tol: float = 1e-12) -> float:
     """Bisection/secant hybrid; the iterate never leaves the bracket.
 
-    Stops when |f| <= tol or the interval shrinks below tol*max(1, |x|).
+    Stops when |f| <= tol or the interval shrinks below tol*max(1, |x|);
+    raises NoConvergence when neither happens within 200 iterations.
     """
     lo, hi = bracket.lo, bracket.hi
     f_lo, f_hi = bracket.f_lo, bracket.f_hi
@@ -56,7 +57,7 @@ def find_root(f: Callable[[float], float], bracket: Bracket, tol: float = 1e-12)
     prev_width = hi - lo
     for _ in range(200):
         if hi - lo <= tol * max(1.0, abs(x)):
-            break
+            return 0.5 * (lo + hi)
         # secant proposal from the current bracket endpoints
         denom = f_hi - f_lo
         if denom != 0.0:
@@ -81,7 +82,7 @@ def find_root(f: Callable[[float], float], bracket: Bracket, tol: float = 1e-12)
             else:
                 lo, f_lo = mid, fm
         prev_width = hi - lo
-    return 0.5 * (lo + hi)
+    raise NoConvergence(200, min(abs(f_lo), abs(f_hi)))
 
 
 def poly_roots(coeffs: Sequence[complex]) -> np.ndarray:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import DispersionSymbol, d1_m, d2_m, eval_m
+from .dispersion import DispersionSymbol, eval_m, jet_m
 from .errors import (
     DegenerateResonance,
     DegreeMismatch,
@@ -102,14 +102,13 @@ def _coefficient_arrays(*p) -> list[np.ndarray]:
 def _symbol_columns(sym: DispersionSymbol, k) -> tuple[np.ndarray, ...]:
     """(k, m(k), m'(k), m''(k), m(2k)) as 1-d arrays over the grid.
 
-    The values come from the scalar evaluators one k at a time, so every
-    pencil entry is the same float a one-k build gives.
+    The values come from the scalar jet one k at a time, so every pencil
+    entry is the same float a one-k build gives.
     """
     ks = np.atleast_1d(np.asarray(k))
     if np.any(ks <= 0):
         raise ValueError("k must be positive")
-    vals = [(eval_m(sym, kk), d1_m(sym, kk), d2_m(sym, kk), eval_m(sym, 2 * kk))
-            for kk in ks.tolist()]
+    vals = [(*jet_m(sym, kk), eval_m(sym, 2 * kk)) for kk in ks.tolist()]
     m, mp, mpp, m2 = np.array(vals, dtype=float).reshape(-1, 4).T
     return ks, m, mp, mpp, m2
 
@@ -428,8 +427,8 @@ def bnesq_leading_quartic(sym: DispersionSymbol, k: float) -> np.ndarray:
     so the polynomial is (L - k m')^2 ((L + m)^2 - 1); expanding it in
     closed form avoids any small-parameter cancellation.
     """
-    gs = k * d1_m(sym, k)
-    m = eval_m(sym, k)
+    m, mp, _ = jet_m(sym, k)
+    gs = k * mp
     left = np.array([1.0, -2.0 * gs, gs * gs])  # (L - km')^2
     right = np.array([1.0, 2.0 * m, m * m - 1.0])  # (L + m)^2 - 1
     return np.convolve(left, right)

@@ -1,15 +1,17 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from modwave.dispersion import (
+    DispersionSymbol,
     builtin_symbol,
     check_assumptions,
-    d1_m,
-    d2_m,
     eval_m,
+    fractional_symbol,
     group_speed,
+    jet_m,
     parse_symbol,
     phase_speed,
     symbol_from_config,
@@ -58,9 +60,18 @@ def test_group_speed_matches_finite_difference(bbm, boussinesq, whitham):
 
 
 def test_derivatives(bbm, frac3):
-    assert d1_m(bbm, 1.0) == pytest.approx(-0.5, rel=1e-12)
-    assert d1_m(bbm, 0.0) == pytest.approx(0.0, abs=1e-14)
-    assert d2_m(frac3, 2.0) == pytest.approx(12.0, rel=1e-12)
+    assert jet_m(bbm, 1.0)[1] == pytest.approx(-0.5, rel=1e-12)
+    assert jet_m(bbm, 0.0)[1] == pytest.approx(0.0, abs=1e-14)
+    assert jet_m(frac3, 2.0)[2] == pytest.approx(12.0, rel=1e-12)
+
+
+def test_jet_evenness(bbm, whitham, frac3):
+    # m' is odd and m'' even; the value is eval_m's float
+    for sym in (bbm, whitham, frac3, parse_symbol("(1+k^2)^(-0.5)")):
+        for k in (0.3, 1.7, 6.0):
+            m, m1, m2 = jet_m(sym, k)
+            assert jet_m(sym, -k) == (m, -m1, m2)
+            assert m == eval_m(sym, k)
 
 
 def test_analytic_derivatives_match_finite_differences(bbm, boussinesq, whitham, frac3):
@@ -69,20 +80,75 @@ def test_analytic_derivatives_match_finite_differences(bbm, boussinesq, whitham,
             k = float(k)
             h1 = 1e-5 * max(1.0, k)
             fd1 = (eval_m(sym, k + h1) - eval_m(sym, k - h1)) / (2 * h1)
-            assert d1_m(sym, k) == pytest.approx(fd1, rel=1e-6, abs=1e-9)
+            assert jet_m(sym, k)[1] == pytest.approx(fd1, rel=1e-6, abs=1e-9)
             h2 = 1e-4 * max(1.0, k)
             fd2 = (eval_m(sym, k + h2) - 2 * eval_m(sym, k) + eval_m(sym, k - h2)) / h2**2
-            assert d2_m(sym, k) == pytest.approx(fd2, rel=1e-5, abs=1e-7)
+            assert jet_m(sym, k)[2] == pytest.approx(fd2, rel=1e-5, abs=1e-7)
 
 
-def test_fractional_derivative_singularities():
+def test_fractional_derivative_singularities(frac2, frac3):
     rough = builtin_symbol("fractional", alpha=1.0)
     with pytest.raises(NonFinite):
-        d1_m(rough, 0.0)
+        jet_m(rough, 0.0)
+    # m'(0) = 0 exists for alpha = 1.5, m''(0) does not, so the jet is refused
     mid = builtin_symbol("fractional", alpha=1.5)
-    assert d1_m(mid, 0.0) == 0.0
+    assert mid.jet(0.0)[:2] == (1.0, 0.0)
+    assert math.isinf(mid.jet(0.0)[2])
     with pytest.raises(NonFinite):
-        d2_m(mid, 0.0)
+        jet_m(mid, 0.0)
+    with pytest.raises(NonFinite):  # the same expression agrees
+        jet_m(parse_symbol("1+abs(k)^1.5"), 0.0)
+    assert jet_m(frac2, 0.0) == (1.0, 0.0, 2.0)
+    assert jet_m(frac3, 0.0) == (1.0, 0.0, 0.0)
+
+
+def test_fractional_raw_is_even():
+    for alpha in (2.5, 3.0):
+        sym = fractional_symbol(alpha)
+        assert sym.raw(-1.3) == sym.raw(1.3)
+        assert check_assumptions(sym, np.linspace(0.1, 10, 200)).m2_ok
+
+
+# (expression, the same function in mpmath) for every operator and function
+# of the grammar, including '^' with a variable exponent
+MP_EXPRESSIONS = [
+    ("2.5 + k", lambda k: 2.5 + k),
+    ("3 - k^2", lambda k: 3 - k**2),
+    ("-k^3 + 1", lambda k: -(k**3) + 1),
+    ("k * exp(k)", lambda k: k * mp.exp(k)),
+    ("(1 + k) / (2 + k^2)", lambda k: (1 + k) / (2 + k**2)),
+    ("sqrt(1 + k^2)", lambda k: mp.sqrt(1 + k**2)),
+    ("tanh(k)", mp.tanh),
+    ("tanh(abs(k))/abs(k)", lambda k: mp.tanh(k) / k),
+    ("abs(k - 3) * k", lambda k: abs(k - 3) * k),
+    ("cos(k) + 2", lambda k: mp.cos(k) + 2),
+    ("pow(1 + k^2, -1.5)", lambda k: (1 + k**2) ** mp.mpf(-1.5)),
+    ("(1+k^2)^(-0.5)", lambda k: (1 + k**2) ** mp.mpf(-0.5)),
+    ("1+abs(k)^2.7", lambda k: 1 + k ** mp.mpf(2.7)),
+    ("abs(k)^k", lambda k: k**k),
+    ("(1 + k^2)^(k/2)", lambda k: (1 + k**2) ** (k / 2)),
+    ("2^(-k)", lambda k: mp.mpf(2) ** (-k)),
+    ("pow(2 + cos(k), k)", lambda k: (2 + mp.cos(k)) ** k),
+]
+
+
+@pytest.mark.parametrize("text,f", MP_EXPRESSIONS, ids=[t for t, _ in MP_EXPRESSIONS])
+def test_expression_jet_matches_mpmath(text, f):
+    sym = parse_symbol(text)
+    with mp.workdps(40):
+        for k in (0.3, 1.1, 2.7, 7.5, 19.0):
+            ref = [f(mp.mpf(k)), mp.diff(f, mp.mpf(k)), mp.diff(f, mp.mpf(k), 2)]
+            for got, want in zip(sym.jet(k), ref):
+                assert abs(got - want) <= 1e-12 * abs(want), (k, got, want)
+
+
+def test_jet_at_removable_singularity():
+    # the two-sided probe fills the whole jet: m ~ 1 - k^2/6, m'' -> -1/3
+    parsed = parse_symbol("sqrt(tanh(abs(k))/abs(k))")
+    m, m1, m2 = jet_m(parsed, 0.0)
+    assert m == pytest.approx(1.0, abs=1e-12)
+    assert m1 == pytest.approx(0.0, abs=1e-9)
+    assert m2 == pytest.approx(-1.0 / 3.0, abs=1e-3)
 
 
 def test_parse_builtin_equivalence(bbm, boussinesq, whitham):
@@ -92,7 +158,10 @@ def test_parse_builtin_equivalence(bbm, boussinesq, whitham):
         parsed = parse_symbol(text)
         assert parsed.warnings == ()
         for k in rng.uniform(1e-3, 20.0, 100):
-            assert abs(eval_m(parsed, float(k)) - eval_m(by_name[name], float(k))) <= 1e-12
+            got, want = jet_m(parsed, float(k)), jet_m(by_name[name], float(k))
+            for c in range(3):
+                assert abs(got[c] - want[c]) <= 1e-12 * max(1.0, abs(want[c]))
+            assert got[0] == eval_m(parsed, float(k))
 
 
 def test_parse_fractional_text(frac3):
@@ -170,6 +239,22 @@ def test_check_assumptions_detects_harmonic_resonance():
     report = check_assumptions(sym, np.linspace(0.5, 3.0, 60), 2)
     assert not report.m4_ok
     assert any(abs(k - 2.0 * math.pi / 3.0) < 1e-8 for k, n in report.m4_violations if n == 2)
+
+
+def test_check_assumptions_catches_a_wrong_jet(bbm):
+    grid = np.geomspace(0.01, 100, 80)
+
+    def off(c, scale):
+        def jet(k):
+            j = list(bbm.jet(k))
+            j[c] *= scale
+            return tuple(j)
+        return DispersionSymbol(name="bbm-wrong-jet", raw=bbm.raw, jet=jet)
+
+    assert check_assumptions(off(1, 1.0), grid).m1_ok
+    assert not check_assumptions(off(1, 1.01), grid).m1_ok
+    assert not check_assumptions(off(2, 1.01), grid).m1_ok
+    assert check_assumptions(parse_symbol("1/(1+k^2)"), grid).all_ok()
 
 
 def test_check_assumptions_empty_grid(bbm):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from modwave.dispersion import DispersionSymbol, fractional_symbol
+from modwave.dispersion import builtin_symbol, fractional_symbol, parse_symbol
 from modwave.indices import (
     Verdict,
     base_indices,
@@ -98,13 +98,21 @@ def test_quotient_product_sign_identity(bbm, boussinesq, frac3):
     assert count > 2000
 
 
-def test_ind_robust_to_finite_differences(bbm):
-    # same symbol without analytic derivatives: indices agree to 1e-5
-    fd = DispersionSymbol(name="bbm-fd", raw=bbm.raw)
-    for k in (0.5, 1.0, 1.6, 2.5, 4.0):
-        exact = ind(EquationKind.BBM, bbm, k).ind
-        approx = ind(EquationKind.BBM, fd, k).ind
-        assert approx == pytest.approx(exact, rel=1e-5)
+def test_ind_parsed_symbol_matches_builtin():
+    # expression symbols carry exact jets, so i1 = 2m' + k m'' agrees with
+    # the built-in closed forms to round-off
+    texts = {"bbm": "1/(1+k^2)", "boussinesq": "(1+k^2)^(-0.5)",
+             "whitham": "sqrt(tanh(abs(k))/abs(k))"}
+    for name, text in texts.items():
+        builtin, parsed = builtin_symbol(name), parse_symbol(text)
+        for k in np.geomspace(0.05, 20.0, 200).tolist():
+            want = base_indices(builtin, k)[0]
+            assert base_indices(parsed, k)[0] == pytest.approx(want, rel=1e-12)
+
+
+def test_parsed_bbm_threshold_is_sqrt3():
+    k_star = critical_wavenumber(EquationKind.BBM, parse_symbol("1/(1+k^2)"), (0.5, 3.0))
+    assert abs(k_star - math.sqrt(3.0)) <= 1e-12
 
 
 def test_find_resonances_bbm(bbm):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from modwave.errors import LeadingZero, NoBracket
+from modwave.errors import LeadingZero, NoBracket, NoConvergence
 from modwave.indices import ind
 from modwave.numerics import (
     Bracket,
@@ -45,6 +45,13 @@ def test_find_root_stays_in_bracket():
         root = find_root(f, Bracket.scan(f, lo, hi))
         assert lo <= root <= hi
         assert abs(root - shift) <= 1e-9
+
+
+def test_find_root_reports_no_convergence():
+    # tol = 0 cannot be met once the bracket is two adjacent floats
+    f = lambda x: x * x - 2.0
+    with pytest.raises(NoConvergence):
+        find_root(f, Bracket.scan(f, 1.0, 2.0), tol=0.0)
 
 
 def test_no_bracket():

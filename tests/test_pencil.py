@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from modwave.dispersion import d1_m, d2_m, eval_m
+from modwave.dispersion import eval_m, jet_m
 from modwave.errors import (
     DegenerateResonance,
     DegreeMismatch,
@@ -57,7 +57,7 @@ def test_bbm_flat_state_roots(bbm):
     # rescaled roots at a=0 are {km' +/- xi*e, 1-m} with e = km' + k^2 m''/2
     for k in (0.7, 1.0, 2.0):
         for xi in (1e-3, 1e-2):
-            m, mp, mpp = eval_m(bbm, k), d1_m(bbm, k), d2_m(bbm, k)
+            m, mp, mpp = jet_m(bbm, k)
             e = k * mp + 0.5 * k * k * mpp
             expected = sorted([k * mp + xi * e, k * mp - xi * e, 1.0 - m])
             poly = rescaled_charpoly(build_bbm_pencil(bbm, k, xi, 0.0))
@@ -69,7 +69,7 @@ def test_bnesq_flat_state_quartic_coefficients(boussinesq):
     # a=0 rescaled polynomial equals ((L-km')^2 - xi^2 e^2)((L+m)^2 - 1)
     for k in (0.5, 1.0, 2.0):
         for xi in (1e-3, 1e-2):
-            m, mp, mpp = eval_m(boussinesq, k), d1_m(boussinesq, k), d2_m(boussinesq, k)
+            m, mp, mpp = jet_m(boussinesq, k)
             e = k * mp + 0.5 * k * k * mpp
             gs = k * mp
             left = np.array([1.0, -2.0 * gs, gs * gs - xi * xi * e * e])
@@ -112,7 +112,7 @@ def test_disc_cubic_signs(bbm):
 
 def test_bnesq_leading_discs_closed_form(boussinesq):
     for k in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
-        gs = eval_m(boussinesq, k) + k * d1_m(boussinesq, k)
+        gs = eval_m(boussinesq, k) + k * jet_m(boussinesq, k)[1]
         d1v, d2v = bnesq_leading_discs(boussinesq, k)
         assert d1v == pytest.approx(-4.0 * (2.0 + gs * gs), rel=1e-12)
         assert d2v == pytest.approx(-16.0 * (1.0 + 2.0 * gs * gs), rel=1e-12)
@@ -124,7 +124,7 @@ def test_leading_quartic_roots_are_flat_state_limits(boussinesq):
     p = bnesq_leading_quartic(boussinesq, k)
     roots = sorted(poly_roots(p).real)
     m = eval_m(boussinesq, k)
-    gs = k * d1_m(boussinesq, k)
+    gs = k * jet_m(boussinesq, k)[1]
     assert_allclose(roots, sorted([gs, gs, -m - 1.0, -m + 1.0]), atol=1e-8)
 
 
