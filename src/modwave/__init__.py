@@ -21,8 +21,6 @@ from .hill import (
     BlochOperator,
     SpectrumSlice,
     assemble,
-    assemble_bnesq,
-    assemble_scalar,
     collision_scan,
     growth_curve,
     min_collision_k,

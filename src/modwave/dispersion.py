@@ -92,6 +92,8 @@ def _pow_jet(x: Jet, y: Jet) -> Jet:
     a, a1, a2 = x
     b, b1, b2 = y
     v = a**b
+    if isinstance(v, complex):  # a < 0 with a non-integer exponent
+        return math.nan, math.nan, math.nan
     if b1 == 0.0 and b2 == 0.0:  # constant exponent: the power rule
         return _chain(x, v, b * _power(a, b - 1.0), b * (b - 1.0) * _power(a, b - 2.0))
     if not a > 0.0:

@@ -3,9 +3,13 @@
 The linearization about a periodic wave decomposes into a family of
 operators indexed by the Floquet exponent xi in [0, 1/2]; each is
 discretized in the Fourier basis over a symmetric mode window -N..N
-(Hill's method) and handed to a dense eigensolver.  The module also
-tracks eigenvalue collisions of the flat-state frequencies and
-cross-validates the reduced pencils against the discrete spectra.
+(Hill's method; Deconinck & Kutz, J. Comput. Phys. 219, 2006) and handed
+to a dense eigensolver.  One assembly serves all three equation kinds:
+each kind supplies a real core matrix (one block for the scalar kinds,
+2 x 2 blocks for the bidirectional system) that is scaled row by row by
+i(n+xi).  The module also tracks eigenvalue collisions of the
+flat-state frequencies and cross-validates the reduced pencils against
+the discrete spectra.
 """
 
 from __future__ import annotations
@@ -45,32 +49,22 @@ class SpectrumSlice:
     near_origin: np.ndarray
 
 
-def _full_wave_coeffs(wave_hat: np.ndarray, n_modes: int) -> np.ndarray:
-    """Full-line coefficients of the wave over the window -n_modes..n_modes."""
-    src = cos_to_full(wave_hat)
-    mid_src = wave_hat.size - 1
-    out = np.zeros(2 * n_modes + 1)
-    mid = n_modes
-    reach = min(mid_src, n_modes)
-    out[mid - reach : mid + reach + 1] = src[mid_src - reach : mid_src + reach + 1]
-    return out
-
-
-def assemble_scalar(
+def assemble(
     kind: EquationKind,
     sym: DispersionSymbol,
     wave: WaveSolution,
     xi: float,
     n_modes: int,
 ) -> BlochOperator:
-    """Bloch matrix of the scalar linearization at Floquet exponent xi.
+    """Bloch matrix of the linearization about the wave at Floquet exponent xi.
 
-    Row n, column m entries (n, m in -N..N, w = full wave coefficients):
-    BBM:  i(n+xi) [c d_nm - m(k(n+xi)) (d_nm + 2 w_{n-m})],
-    KdV:  i(n+xi) [(m(k(n+xi)) - c) d_nm + 2 w_{n-m}].
+    Every kind is i(n+xi) times a real core, row by row.  Row n, column m
+    (n, m in -N..N, w = full wave coefficients, s = n+xi):
+    BBM:  c d_nm - m(ks) (d_nm + 2 w_{n-m}),
+    KdV:  (m(ks) - c) d_nm + 2 w_{n-m},
+    bidirectional (u over q blocks):  [[c d_nm, m^2(ks) d_nm],
+    [d_nm + 2 w_{n-m}, c d_nm]], both block rows scaled by i(n+xi).
     """
-    if kind not in (EquationKind.BBM, EquationKind.KDV):
-        raise UnsupportedKind("scalar assembly is for the BBM- and KdV-type equations")
     if wave.kind is not kind:
         raise ValueError(f"wave solves {wave.kind}, requested {kind}")
     if n_modes < wave.n_modes:
@@ -79,62 +73,27 @@ def assemble_scalar(
         )
     k, c = wave.k, wave.c
     dim = 2 * n_modes + 1
+    eye = np.eye(dim)
     modes = np.arange(-n_modes, n_modes + 1)
     shifted = modes + xi
     mvals = np.array([eval_m(sym, k * s) for s in shifted])
     # coefficients over the doubled window so every difference n-m resolves;
     # entries beyond the wave's truncation are zero (no aliasing wrap)
-    w = _full_wave_coeffs(wave.u_hat, 2 * n_modes)
-    diff = np.subtract.outer(modes, modes) + 2 * n_modes
-    conv = 2.0 * w[diff]
+    w = cos_to_full(wave.u_hat, 2 * n_modes)
+    conv = 2.0 * w[np.subtract.outer(modes, modes) + 2 * n_modes]
     if kind is EquationKind.BBM:
-        core = c * np.eye(dim) - mvals[:, None] * (np.eye(dim) + conv)
+        core = c * eye - mvals[:, None] * (eye + conv)
+    elif kind is EquationKind.KDV:
+        core = (mvals - c)[:, None] * eye + conv
     else:
-        core = (mvals - c)[:, None] * np.eye(dim) + conv
+        core = np.empty((2 * dim, 2 * dim))  # filled in place: np.block is slower
+        core[:dim, :dim] = core[dim:, dim:] = c * eye
+        # float_power rounds like the scalar m(ks)**2; numpy's x**2 is x*x
+        core[:dim, dim:] = np.float_power(mvals, 2)[:, None] * eye
+        core[dim:, :dim] = eye + conv
+        shifted = np.tile(shifted, 2)
     matrix = 1j * shifted[:, None] * core
     return BlochOperator(kind, k, xi, wave.a, n_modes, matrix, wave)
-
-
-def assemble_bnesq(
-    sym: DispersionSymbol,
-    wave: WaveSolution,
-    xi: float,
-    n_modes: int,
-) -> BlochOperator:
-    """Bloch matrix of the two-channel linearization (u over q blocks)."""
-    if wave.kind is not EquationKind.BOUSSINESQ:
-        raise ValueError(f"wave solves {wave.kind}, expected the bidirectional system")
-    if n_modes < wave.n_modes:
-        raise TruncationTooSmall(
-            f"operator truncation {n_modes} below the wave's {wave.n_modes}"
-        )
-    k, c = wave.k, wave.c
-    dim = 2 * n_modes + 1
-    modes = np.arange(-n_modes, n_modes + 1)
-    shifted = modes + xi
-    m2vals = np.array([eval_m(sym, k * s) ** 2 for s in shifted])
-    w = _full_wave_coeffs(wave.u_hat, 2 * n_modes)
-    diff = np.subtract.outer(modes, modes) + 2 * n_modes
-    conv = 2.0 * w[diff]
-    pref = 1j * shifted[:, None]
-    matrix = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    matrix[:dim, :dim] = pref * (c * np.eye(dim))
-    matrix[:dim, dim:] = pref * (m2vals[:, None] * np.eye(dim))
-    matrix[dim:, :dim] = pref * (np.eye(dim) + conv)
-    matrix[dim:, dim:] = pref * (c * np.eye(dim))
-    return BlochOperator(EquationKind.BOUSSINESQ, k, xi, wave.a, n_modes, matrix, wave)
-
-
-def assemble(
-    kind: EquationKind,
-    sym: DispersionSymbol,
-    wave: WaveSolution,
-    xi: float,
-    n_modes: int,
-) -> BlochOperator:
-    if kind is EquationKind.BOUSSINESQ:
-        return assemble_bnesq(sym, wave, xi, n_modes)
-    return assemble_scalar(kind, sym, wave, xi, n_modes)
 
 
 def near_origin_radius(sym: DispersionSymbol, k: float, xi: float) -> float:

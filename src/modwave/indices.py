@@ -44,46 +44,54 @@ class IndexReport:
     resonance_flags: frozenset[str]
 
 
-def base_indices(sym: DispersionSymbol, k: float) -> tuple[float, float, float, float, float]:
-    """(i1, i2-, i2+, i3-, i3+) from exact derivative formulas.
-
-    i1 = (k m)'' = 2m' + k m'';  i2∓ = (k m)' ∓ 1;  i3∓ = m(k) ∓ m(2k).
-    """
+def _base(sym: DispersionSymbol, k: float) -> tuple[tuple[float, ...], float]:
+    """base_indices together with the m(2k) they were computed from."""
     if k <= 0:
         raise ValueError("k must be positive")
     m, mp, mpp = jet_m(sym, k)
     m2 = eval_m(sym, 2 * k)
     i1 = 2.0 * mp + k * mpp
     gs = m + k * mp
-    return i1, gs - 1.0, gs + 1.0, m - m2, m + m2
+    return (i1, gs - 1.0, gs + 1.0, m - m2, m + m2), m2
+
+
+def base_indices(sym: DispersionSymbol, k: float) -> tuple[float, float, float, float, float]:
+    """(i1, i2-, i2+, i3-, i3+) from exact derivative formulas.
+
+    i1 = (k m)'' = 2m' + k m'';  i2∓ = (k m)' ∓ 1;  i3∓ = m(k) ∓ m(2k).
+    """
+    return _base(sym, k)[0]
+
+
+def _combine(kind: EquationKind, base: tuple[float, ...], m2: float) -> float:
+    """Equation index from the base indices and m(2k)."""
+    _, i2m, i2p, i3m, i3p = base
+    if kind is EquationKind.KDV:
+        return 2.0 * i3m + i2m
+    if kind is EquationKind.BBM:
+        return 2.0 * i3m + m2 * i2m
+    if kind is EquationKind.BOUSSINESQ:
+        return 2.0 * i3m * i3p + m2**2 * i2m * i2p
+    raise UnsupportedKind(str(kind))
 
 
 def i_kdv(sym: DispersionSymbol, k: float) -> float:
     """2 i3- + i2-."""
-    _, i2m, _, i3m, _ = base_indices(sym, k)
-    return 2.0 * i3m + i2m
+    return _combine(EquationKind.KDV, *_base(sym, k))
 
 
 def i_bbm(sym: DispersionSymbol, k: float) -> float:
     """2 i3- + m(2k) i2-."""
-    _, i2m, _, i3m, _ = base_indices(sym, k)
-    return 2.0 * i3m + eval_m(sym, 2 * k) * i2m
+    return _combine(EquationKind.BBM, *_base(sym, k))
 
 
 def i_bnesq(sym: DispersionSymbol, k: float) -> float:
     """2 i3- i3+ + m^2(2k) i2- i2+."""
-    _, i2m, i2p, i3m, i3p = base_indices(sym, k)
-    return 2.0 * i3m * i3p + eval_m(sym, 2 * k) ** 2 * i2m * i2p
+    return _combine(EquationKind.BOUSSINESQ, *_base(sym, k))
 
 
 def equation_index(kind: EquationKind, sym: DispersionSymbol, k: float) -> float:
-    if kind is EquationKind.KDV:
-        return i_kdv(sym, k)
-    if kind is EquationKind.BBM:
-        return i_bbm(sym, k)
-    if kind is EquationKind.BOUSSINESQ:
-        return i_bnesq(sym, k)
-    raise UnsupportedKind(str(kind))
+    return _combine(kind, *_base(sym, k))
 
 
 def ind(kind: EquationKind, sym: DispersionSymbol, k: float) -> IndexReport:
@@ -96,8 +104,9 @@ def ind(kind: EquationKind, sym: DispersionSymbol, k: float) -> IndexReport:
     inconclusive and the quartic classification of the reduced pencil
     settles the verdict.
     """
-    i1, i2m, i2p, i3m, i3p = base_indices(sym, k)
-    i_eq = equation_index(kind, sym, k)
+    base, m2 = _base(sym, k)
+    i1, i2m, i2p, i3m, i3p = base
+    i_eq = _combine(kind, base, m2)
 
     flags = set()
     if abs(i1) <= DEGENERACY_TOL:

@@ -1,9 +1,12 @@
 """Shared numerical kernels.
 
 Bracketed root finding, companion-matrix polynomial roots, a dense
-eigensolver wrapper, and cosine-series convolution helpers used by the
-wave solver and the Bloch operator assembly.  All routines are pure and
-deterministic; property tests draw samples from a fixed-seed generator.
+eigensolver wrapper, and cosine-series helpers used by the wave solver
+and the Bloch operator assembly: conversion between cosine and full-line
+coefficients (padded to any mode window), products by convolution, and
+the closed-form Toeplitz-plus-Hankel multiplication table.  All routines
+are pure and deterministic; property tests draw samples from a
+fixed-seed generator.
 """
 
 from __future__ import annotations
@@ -143,29 +146,33 @@ def eig_dense(matrix: np.ndarray) -> np.ndarray:
 # exponential) line has coefficients f[j] = u[|j|]/2 for j != 0 and
 # f[0] = u[0].  Products are convolutions on the full line; coefficients
 # produced outside the requested window are dropped (no aliasing wrap).
+# Only this section knows how the two layouts are stored.
 # ---------------------------------------------------------------------------
 
 
-def cos_to_full(u: np.ndarray) -> np.ndarray:
-    """Full-line coefficients f[-N..N] (offset N) of a cosine series."""
+def cos_to_full(u: np.ndarray, n_window: int | None = None) -> np.ndarray:
+    """Full-line coefficients f[-W..W] (offset W) of a cosine series.
+
+    The window W defaults to the series' own N; a wider window is padded
+    with zeros (no aliasing wrap), a narrower one drops the outer modes.
+    """
     u = np.asarray(u, dtype=float)
-    n = u.size - 1
-    f = np.zeros(2 * n + 1)
-    f[n] = u[0]
-    for j in range(1, n + 1):
-        f[n + j] = f[n - j] = 0.5 * u[j]
-    return f
+    w = u.size - 1 if n_window is None else n_window
+    half = np.zeros(w + 1)
+    reach = min(u.size, w + 1)
+    half[:reach] = 0.5 * u[:reach]
+    half[0] = u[0]
+    return np.concatenate([half[:0:-1], half])
 
 
 def full_to_cos(f: np.ndarray, n_out: int) -> np.ndarray:
     """Cosine coefficients 0..n_out of a symmetric full-line array."""
-    f = np.asarray(f)
+    f = np.real(f)
     mid = (f.size - 1) // 2
-    out = np.zeros(n_out + 1)
-    out[0] = f[mid].real if np.iscomplexobj(f) else f[mid]
     hi = min(n_out, mid)
-    for j in range(1, hi + 1):
-        out[j] = 2.0 * (f[mid + j].real if np.iscomplexobj(f) else f[mid + j])
+    out = np.zeros(n_out + 1)
+    out[0] = f[mid]
+    out[1 : hi + 1] = 2.0 * f[mid + 1 : mid + hi + 1]
     return out
 
 
@@ -181,15 +188,16 @@ def cos_square(u: np.ndarray, n_out: int) -> np.ndarray:
 
 
 def cos_product_matrix(u: np.ndarray, n_out: int) -> np.ndarray:
-    """Toeplitz-type table T with (T v)[n] = cosine coefficient n of u*v.
+    """Toeplitz-plus-Hankel table T with (T v)[n] = cosine coefficient n of u*v.
 
-    Explicit (n_out+1) x (n_out+1) matrix.  Used for multiplication
-    operators in Newton Jacobians; exact within the mode window.
+    With F the non-negative half of the full line of u over the window
+    0..2*n_out, T[n, m] = F[|n-m|] + F[n+m] for n >= 1 and T[0, m] = F[m]:
+    cos(n z) cos(m z) = (cos((n-m) z) + cos((n+m) z))/2.  Explicit
+    (n_out+1) x (n_out+1) matrix, exact within the mode window; used for
+    multiplication operators in Newton Jacobians.
     """
-    size = n_out + 1
-    t = np.zeros((size, size))
-    for m in range(size):
-        basis = np.zeros(size)
-        basis[m] = 1.0
-        t[:, m] = cos_product(u, basis, n_out)
+    f = cos_to_full(u, 2 * n_out)[2 * n_out :]
+    j = np.arange(n_out + 1)
+    t = f[np.abs(j[:, None] - j)] + f[j[:, None] + j]
+    t[0] = f[: n_out + 1]
     return t

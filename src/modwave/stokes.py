@@ -226,97 +226,76 @@ def newton_wave(
 ) -> WaveSolution:
     """Solve the exact traveling-wave equations by Newton iteration.
 
-    Unknowns are the cosine coefficients (modes 0..n_modes, two channels
-    for the bidirectional system) plus the speed c; the amplitude and
-    phase are pinned by fixing the first cosine coefficient of u to its
-    Stokes value.  The Jacobian is assembled densely from the Toeplitz
-    multiplication table and the diagonal multiplier.
+    The state is (u, [q,] c): the cosine coefficients of each channel
+    (modes 0..n_modes; the q channel only for the bidirectional system)
+    followed by the speed c.  The amplitude and phase are pinned by fixing
+    the first cosine coefficient of u to its Stokes value.  Each kind
+    supplies its residual and its Jacobian, assembled densely from the
+    Toeplitz-plus-Hankel multiplication table and the diagonal multiplier;
+    the iteration itself is shared.
     """
     if n_modes < 8:
         raise ValueError("n_modes must be >= 8")
     if k <= 0:
         raise ValueError("k must be positive")
+    if max_iter < 0:
+        raise ValueError("max_iter must be >= 0")
     exp = expansion_for(kind, sym, k, a)
     n = n_modes + 1
     mvals = np.array([eval_m(sym, k * j) for j in range(n)])
     pin = _pin_value(kind, sym, k, a)
+    ident = np.eye(n)
+    bidirectional = kind is EquationKind.BOUSSINESQ
+    channels = [exp.u_cosines(n_modes)] + ([exp.q_cosines(n_modes)] if bidirectional else [])
+    state = np.concatenate([*channels, [exp.speed()]])
 
-    if kind is EquationKind.BOUSSINESQ:
+    if bidirectional:
         m2vals = mvals**2
-        u = exp.u_cosines(n_modes)
-        q = exp.q_cosines(n_modes)
-        c = exp.speed()
 
         def residual(u, q, c):
-            uu = cos_square(u, n_modes)
-            return np.concatenate([c * u + m2vals * q, c * q + u + uu])
+            return np.concatenate([c * u + m2vals * q, c * q + u + cos_square(u, n_modes)])
 
-        ident = np.eye(n)
-        for it in range(max_iter + 1):
-            res = residual(u, q, c)
-            rnorm = float(np.linalg.norm(res))
-            if rnorm <= tol:
-                return WaveSolution(kind, sym, k, a, n_modes, u, float(c),
-                                    rnorm, q_hat=q, iterations=it)
-            if it == max_iter:
-                raise NoConvergence(it, rnorm)
-            jac = np.zeros((2 * n + 1, 2 * n + 1))
-            jac[:n, :n] = c * ident
-            jac[:n, n:2 * n] = np.diag(m2vals)
-            jac[:n, -1] = u
-            jac[n:2 * n, :n] = ident + 2.0 * cos_product_matrix(u, n_modes)
-            jac[n:2 * n, n:2 * n] = c * ident
-            jac[n:2 * n, -1] = q
-            jac[-1, 1] = 1.0  # pin row: d(u_hat[1]) = 0
-            rhs = np.concatenate([res, [u[1] - pin]])
-            try:
-                step = np.linalg.solve(jac, -rhs)
-            except np.linalg.LinAlgError as exc:
-                raise DegenerateResonance(
-                    f"singular Newton system at k={k}: {exc}"
-                ) from exc
-            u = u + step[:n]
-            q = q + step[n:2 * n]
-            c = c + step[-1]
+        def jacobian(u, q, c):
+            conv = cos_product_matrix(u, n_modes)
+            return np.block([
+                [c * ident, np.diag(m2vals), u[:, None]],
+                [ident + 2.0 * conv, c * ident, q[:, None]],
+            ])
+    elif kind is EquationKind.BBM:  # nonlinearity inside the multiplier
 
-    # scalar equations: BBM has the nonlinearity inside the multiplier,
-    # KdV outside
-    u = exp.u_cosines(n_modes)
-    c = exp.speed()
-    inside = kind is EquationKind.BBM
+        def residual(u, q, c):
+            return mvals * (u + cos_square(u, n_modes)) - c * u
 
-    def residual_scalar(u, c):
-        uu = cos_square(u, n_modes)
-        if inside:
-            return mvals * (u + uu) - c * u
-        return mvals * u + uu - c * u
+        def jacobian(u, q, c):
+            conv = cos_product_matrix(u, n_modes)
+            return np.hstack([mvals[:, None] * (ident + 2.0 * conv) - c * ident, -u[:, None]])
+    else:  # KdV: nonlinearity outside the multiplier
 
-    ident = np.eye(n)
+        def residual(u, q, c):
+            return mvals * u + cos_square(u, n_modes) - c * u
+
+        def jacobian(u, q, c):
+            conv = cos_product_matrix(u, n_modes)
+            return np.hstack([np.diag(mvals) + 2.0 * conv - c * ident, -u[:, None]])
+
+    pin_row = np.zeros((1, state.size))
+    pin_row[0, 1] = 1.0  # d(u_hat[1]) = 0
     for it in range(max_iter + 1):
-        res = residual_scalar(u, c)
+        u, q, c = state[:n], state[n:-1], state[-1]
+        res = residual(u, q, c)
         rnorm = float(np.linalg.norm(res))
         if rnorm <= tol:
-            return WaveSolution(kind, sym, k, a, n_modes, u, float(c),
-                                rnorm, iterations=it)
+            return WaveSolution(kind, sym, k, a, n_modes, u, float(c), rnorm,
+                                q_hat=q if bidirectional else None, iterations=it)
         if it == max_iter:
             raise NoConvergence(it, rnorm)
-        conv = cos_product_matrix(u, n_modes)
-        if inside:
-            jac_u = np.diag(mvals) @ (ident + 2.0 * conv) - c * ident
-        else:
-            jac_u = np.diag(mvals) + 2.0 * conv - c * ident
-        jac = np.zeros((n + 1, n + 1))
-        jac[:n, :n] = jac_u
-        jac[:n, -1] = -u
-        jac[-1, 1] = 1.0
+        jac = np.vstack([jacobian(u, q, c), pin_row])
         rhs = np.concatenate([res, [u[1] - pin]])
         try:
             step = np.linalg.solve(jac, -rhs)
         except np.linalg.LinAlgError as exc:
             raise DegenerateResonance(f"singular Newton system at k={k}: {exc}") from exc
-        u = u + step[:n]
-        c = c + step[-1]
-    raise AssertionError("unreachable")
+        state = state + step
 
 
 def wave_l2_norm(u_hat: np.ndarray) -> float:

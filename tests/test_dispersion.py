@@ -180,6 +180,20 @@ def test_parse_pow_function():
     assert eval_m(parsed, 2.0) == pytest.approx(0.2, rel=1e-14)
 
 
+def test_complex_power_is_not_finite():
+    # a negative base with a non-integer exponent has no real value
+    parsed = parse_symbol("k^k")
+    assert "evaluation failed on probe point k=0.3781" in parsed.warnings
+    with pytest.raises(NonFinite):
+        parsed.raw(-0.5)
+    assert eval_m(parsed, -0.5) == 0.5**0.5  # eval_m reads the symbol at |k|
+    shifted = parse_symbol("1+(k-1)^1.5")
+    with pytest.raises(NonFinite):
+        eval_m(shifted, 0.5)
+    with pytest.raises(NonFinite):
+        jet_m(shifted, 0.5)
+
+
 def test_parse_warns_on_odd_expression():
     parsed = parse_symbol("1+k")
     assert any("evenness" in w for w in parsed.warnings)

@@ -8,8 +8,6 @@ from modwave.dispersion import eval_m
 from modwave.errors import TruncationTooSmall, UnsupportedKind
 from modwave.hill import (
     assemble,
-    assemble_bnesq,
-    assemble_scalar,
     collision_scan,
     growth_curve,
     min_collision_k,
@@ -28,7 +26,7 @@ def _flat(kind, sym, k, n=32):
 
 def test_bbm_flat_state_diagonal(bbm):
     k, xi, n = 1.0, 0.3, 16
-    op = assemble_scalar(EquationKind.BBM, bbm, _flat(EquationKind.BBM, bbm, k, n), xi, n)
+    op = assemble(EquationKind.BBM, bbm, _flat(EquationKind.BBM, bbm, k, n), xi, n)
     diag = np.diag(op.matrix)
     expected = np.array([1j * omega_scalar(bbm, k, m, xi) for m in range(-n, n + 1)])
     assert_allclose(diag, expected, atol=1e-14)
@@ -38,7 +36,7 @@ def test_bbm_flat_state_diagonal(bbm):
 
 def test_kdv_flat_state_diagonal(frac2):
     k, xi, n = 1.0, 0.2, 12
-    op = assemble_scalar(EquationKind.KDV, frac2, _flat(EquationKind.KDV, frac2, k, n), xi, n)
+    op = assemble(EquationKind.KDV, frac2, _flat(EquationKind.KDV, frac2, k, n), xi, n)
     diag = np.diag(op.matrix)
     expected = np.array(
         [1j * (m + xi) * (eval_m(frac2, k * (m + xi)) - eval_m(frac2, k))
@@ -48,13 +46,14 @@ def test_kdv_flat_state_diagonal(frac2):
 
 
 def test_kdv_kernel_at_zero_floquet(frac2):
-    op = assemble_scalar(EquationKind.KDV, frac2, _flat(EquationKind.KDV, frac2, 1.0, 16), 0.0, 16)
+    op = assemble(EquationKind.KDV, frac2, _flat(EquationKind.KDV, frac2, 1.0, 16), 0.0, 16)
     assert zero_multiplicity(op) == 3
 
 
 def test_bnesq_flat_state_eigenvalues(boussinesq):
     k, xi, n = 1.0, 0.2, 12
-    op = assemble_bnesq(boussinesq, _flat(EquationKind.BOUSSINESQ, boussinesq, k, n), xi, n)
+    wave = _flat(EquationKind.BOUSSINESQ, boussinesq, k, n)
+    op = assemble(EquationKind.BOUSSINESQ, boussinesq, wave, xi, n)
     got = np.linalg.eigvals(op.matrix)
     assert np.max(np.abs(got.real)) <= 1e-12
     expected = []
@@ -65,9 +64,10 @@ def test_bnesq_flat_state_eigenvalues(boussinesq):
 
 
 def test_zero_multiplicities(bbm, boussinesq):
-    op = assemble_scalar(EquationKind.BBM, bbm, _flat(EquationKind.BBM, bbm, 1.0), 0.0, 32)
+    op = assemble(EquationKind.BBM, bbm, _flat(EquationKind.BBM, bbm, 1.0), 0.0, 32)
     assert zero_multiplicity(op) == 3
-    op = assemble_bnesq(boussinesq, _flat(EquationKind.BOUSSINESQ, boussinesq, 1.0), 0.0, 32)
+    wave = _flat(EquationKind.BOUSSINESQ, boussinesq, 1.0)
+    op = assemble(EquationKind.BOUSSINESQ, boussinesq, wave, 0.0, 32)
     assert zero_multiplicity(op) == 4
 
 
@@ -86,19 +86,19 @@ def test_flat_state_spectra_purely_imaginary(bbm, boussinesq, whitham, frac3):
 
 def test_spectrum_stability_examples(bbm, boussinesq):
     wave = newton_wave(EquationKind.BBM, bbm, 1.0, 0.01, 32)
-    sl = spectrum(assemble_scalar(EquationKind.BBM, bbm, wave, 0.01, 32), bbm)
+    sl = spectrum(assemble(EquationKind.BBM, bbm, wave, 0.01, 32), bbm)
     assert sl.max_re <= 1e-8
     wave = newton_wave(EquationKind.BBM, bbm, 2.0, 0.01, 32)
-    sl = spectrum(assemble_scalar(EquationKind.BBM, bbm, wave, 0.005, 32), bbm)
+    sl = spectrum(assemble(EquationKind.BBM, bbm, wave, 0.005, 32), bbm)
     assert sl.max_re > 1e-8
     wave = newton_wave(EquationKind.BOUSSINESQ, boussinesq, 1.0, 0.01, 32)
-    sl = spectrum(assemble_bnesq(boussinesq, wave, 0.01, 32), boussinesq)
+    sl = spectrum(assemble(EquationKind.BOUSSINESQ, boussinesq, wave, 0.01, 32), boussinesq)
     assert sl.max_re <= 1e-8
 
 
 def test_near_origin_cluster(bbm):
     wave = newton_wave(EquationKind.BBM, bbm, 2.0, 0.01, 32)
-    sl = spectrum(assemble_scalar(EquationKind.BBM, bbm, wave, 0.01, 32), bbm)
+    sl = spectrum(assemble(EquationKind.BBM, bbm, wave, 0.01, 32), bbm)
     assert len(sl.near_origin) == 3
 
 
@@ -117,10 +117,19 @@ def test_conjugation_symmetry(bbm, boussinesq):
         assert_allclose(ordered(plus), ordered(minus_conj), atol=1e-8)
 
 
-def test_truncation_too_small(bbm):
-    wave = newton_wave(EquationKind.BBM, bbm, 1.0, 0.01, 16)
+@pytest.mark.parametrize("kind", list(EquationKind), ids=lambda kind: kind.value)
+def test_truncation_too_small(kind, bbm):
+    wave = newton_wave(kind, bbm, 1.0, 0.01, 16)
     with pytest.raises(TruncationTooSmall):
-        assemble_scalar(EquationKind.BBM, bbm, wave, 0.1, 8)
+        assemble(kind, bbm, wave, 0.1, 8)
+
+
+@pytest.mark.parametrize("kind", list(EquationKind), ids=lambda kind: kind.value)
+def test_wave_kind_mismatch(kind, bbm):
+    other = next(o for o in EquationKind if o is not kind)
+    wave = newton_wave(other, bbm, 1.0, 0.01, 16)
+    with pytest.raises(ValueError, match="wave solves"):
+        assemble(kind, bbm, wave, 0.1, 16)
 
 
 def test_truncation_robustness(bbm, boussinesq):

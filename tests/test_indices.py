@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -156,3 +157,21 @@ def test_critical_wavenumber_none(boussinesq):
 def test_equation_index_dispatch(bbm):
     assert equation_index(EquationKind.KDV, bbm, 1.0) == i_kdv(bbm, 1.0)
     assert equation_index(EquationKind.BBM, bbm, 1.0) == i_bbm(bbm, 1.0)
+
+
+@pytest.mark.parametrize("kind", list(EquationKind), ids=lambda kind: kind.value)
+def test_ind_evaluates_symbol_once_per_k(kind, bbm):
+    calls = {"jet": 0, "raw": 0}
+
+    def jet(k):
+        calls["jet"] += 1
+        return bbm.jet(k)
+
+    def raw(k):
+        calls["raw"] += 1
+        return bbm.raw(k)
+
+    counting = replace(bbm, raw=raw, jet=jet)
+    report = ind(kind, counting, 1.3)
+    assert calls == {"jet": 1, "raw": 1}
+    assert report == ind(kind, bbm, 1.3)

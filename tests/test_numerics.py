@@ -12,8 +12,10 @@ from modwave.numerics import (
     cos_product,
     cos_product_matrix,
     cos_square,
+    cos_to_full,
     eig_dense,
     find_root,
+    full_to_cos,
     poly_roots,
     property_rng,
 )
@@ -152,3 +154,44 @@ def test_product_matrix_is_multiplication():
     v = rng.normal(size=9)
     table = cos_product_matrix(u, 8)
     assert_allclose(table @ v, cos_product(u, v, 8), atol=1e-13)
+
+
+def _product_matrix_by_columns(u, n_out):
+    # reference: column m is the product of u with the m-th basis vector
+    size = n_out + 1
+    t = np.zeros((size, size))
+    for m in range(size):
+        basis = np.zeros(size)
+        basis[m] = 1.0
+        t[:, m] = cos_product(u, basis, n_out)
+    return t
+
+
+@pytest.mark.parametrize("n", [8, 32, 128])
+def test_product_matrix_closed_form_matches_columns(n):
+    rng = property_rng()
+    for _ in range(5):
+        u = rng.normal(size=n + 1)
+        assert np.array_equal(cos_product_matrix(u, n), _product_matrix_by_columns(u, n))
+    # a series shorter or longer than the output window
+    u = rng.normal(size=n // 2 + 1)
+    assert np.array_equal(cos_product_matrix(u, n), _product_matrix_by_columns(u, n))
+    u = rng.normal(size=3 * n + 1)
+    assert np.array_equal(cos_product_matrix(u, n), _product_matrix_by_columns(u, n))
+
+
+def test_cos_full_round_trip():
+    rng = property_rng()
+    u = rng.normal(size=17)
+    f = cos_to_full(u)
+    assert f.size == 33 and f[16] == u[0]
+    assert np.array_equal(f, f[::-1])
+    assert np.array_equal(full_to_cos(f, 16), u)
+    assert np.array_equal(full_to_cos(f.astype(complex), 16), u)
+    # a wider window pads with zeros; a narrower one drops the outer modes
+    wide = cos_to_full(u, 24)
+    assert wide.size == 49 and np.array_equal(wide[8:41], f)
+    assert not wide[:8].any() and not wide[41:].any()
+    assert np.array_equal(full_to_cos(wide, 24), np.concatenate([u, np.zeros(8)]))
+    assert np.array_equal(cos_to_full(u, 5), f[11:22])
+    assert np.array_equal(full_to_cos(f, 5), u[:6])
