@@ -11,11 +11,14 @@ import dataclasses
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from . import hill, indices, output, pencil, validation
 from .config import RunConfig, load_config, merge_overrides
 from .dispersion import DispersionSymbol, parse_symbol, symbol_from_config
 from .errors import ConfigError, ModwaveError
 from .indices import Verdict
+from .numerics import linear_grid
 from .stokes import EquationKind, newton_wave
 
 
@@ -62,22 +65,17 @@ def _warn_regime(cfg: RunConfig) -> None:
 def cmd_index(cfg: RunConfig, args) -> int:
     sym = _resolve_symbol(cfg, args)
     kind = cfg.equation_kind()
-    ks = cfg.k_values()
-    reports = [indices.ind(kind, sym, k) for k in ks]
-    verdicts = [report.verdict for report in reports]
+    report = indices.ind(kind, sym, cfg.k_values())
+    verdicts = report.verdict.copy()
     # only the bidirectional index leaves rows Inconclusive
-    open_rows = [i for i, v in enumerate(verdicts) if v is Verdict.INCONCLUSIVE]
-    refined = pencil.pencil_verdicts(kind, sym, [reports[i] for i in open_rows])
-    for i, v in zip(open_rows, refined):
-        verdicts[i] = _PENCIL_TO_INDEX[v]
-    rows = [
-        (
-            report.k, report.i1, report.i2m, report.i2p, report.i3m, report.i3p,
-            report.i_eq, report.ind, verdict.value,
-            "|".join(sorted(report.resonance_flags)),
-        )
-        for report, verdict in zip(reports, verdicts)
-    ]
+    open_rows = verdicts == Verdict.INCONCLUSIVE
+    verdicts[open_rows] = list(map(_PENCIL_TO_INDEX.get,
+                                   pencil.pencil_verdicts(kind, sym, report[open_rows])))
+    rows = zip(
+        report.k.tolist(), report.i1.tolist(), report.i2m.tolist(), report.i2p.tolist(),
+        report.i3m.tolist(), report.i3p.tolist(), report.i_eq.tolist(), report.ind.tolist(),
+        [v.value for v in verdicts], ["|".join(sorted(f)) for f in report.resonance_flags],
+    )
     header = ["k", "i1", "i2m", "i2p", "i3m", "i3p", "i_eq", "ind", "verdict", "resonances"]
     _emit_csv(cfg, header, rows)
     return 0
@@ -89,34 +87,20 @@ def cmd_diagram(cfg: RunConfig, args) -> int:
     lo, hi = cfg.alpha_range
     if not (lo < hi) or cfg.alpha_steps < 2:
         raise ConfigError("alpha_range", "need lo < hi and alpha_steps >= 2")
-    alphas = [lo + i * (hi - lo) / (cfg.alpha_steps - 1) for i in range(cfg.alpha_steps)]
     if cfg.k_range is None:
         cfg = dataclasses.replace(cfg, k_range=(0.05, 3.0))
     ks = cfg.k_values()
-
-    def sign(x: float) -> int:
-        if abs(x) <= 1e-12:
-            return 0
-        return 1 if x > 0 else -1
-
-    def one(alpha: float):
+    kinds = (EquationKind.KDV, EquationKind.BBM, EquationKind.BOUSSINESQ)
+    rows, curve_rows = [], []
+    for alpha in linear_grid(lo, hi, cfg.alpha_steps).tolist():
         sym = fractional_symbol(alpha)
-        grid_rows = []
-        for k in ks:
-            s_kdv = sign(indices.ind(EquationKind.KDV, sym, k).ind)
-            s_bbm = sign(indices.ind(EquationKind.BBM, sym, k).ind)
-            s_bq = sign(indices.ind(EquationKind.BOUSSINESQ, sym, k).ind)
-            grid_rows.append((alpha, k, s_kdv, s_bbm, s_bq))
-        k_bbm = indices.critical_wavenumber(EquationKind.BBM, sym, (ks[0], ks[-1]))
-        k_bq = indices.critical_wavenumber(EquationKind.BOUSSINESQ, sym, (ks[0], ks[-1]))
-        k_bbm = None if k_bbm is None else float(k_bbm)
-        k_bq = None if k_bq is None else float(k_bq)
-        return grid_rows, (alpha, k_bbm, k_bq)
-
-    results = [one(alpha) for alpha in alphas]
-    rows = [row for grid_rows, _ in results for row in grid_rows]
+        # sign of each index: 0 for |ind| <= 1e-12, -1 for the nan of a degenerate one
+        signs = [np.where(np.abs(v) <= 1e-12, 0, np.where(v > 0, 1, -1)).tolist()
+                 for v in (indices.ind(kind, sym, ks).ind for kind in kinds)]
+        rows += zip([alpha] * ks.size, ks.tolist(), *signs)
+        k_bbm, k_bq = (indices.critical_wavenumber(kind, sym, (ks[0], ks[-1])) for kind in kinds[1:])
+        curve_rows.append((alpha, k_bbm, k_bq))
     header = ["alpha", "k", "sign_ind_kdv", "sign_ind_bbm", "sign_ind_bnesq"]
-    curve_rows = [c for _, c in results]
     preamble = [
         "critical wave numbers per alpha (bbm, bnesq): "
         + "; ".join(f"{a:g}:{kb!r},{kq!r}" for a, kb, kq in curve_rows)
@@ -135,11 +119,11 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     sym = _resolve_symbol(cfg, args)
     kind = cfg.equation_kind()
     _warn_regime(cfg)
-    ks = cfg.k_values()
+    ks = cfg.k_values().tolist()
     if len(ks) != 1:
         raise ConfigError("k", "spectrum needs a single --k")
     k = ks[0]
-    xis = cfg.xi_values()
+    xis = cfg.xi_values().tolist()
     wave = newton_wave(kind, sym, k, cfg.a, cfg.n_modes)
 
     def one(xi: float):
@@ -173,7 +157,7 @@ def cmd_wave(cfg: RunConfig, args) -> int:
     sym = _resolve_symbol(cfg, args)
     kind = cfg.equation_kind()
     _warn_regime(cfg)
-    ks = cfg.k_values()
+    ks = cfg.k_values().tolist()
     if len(ks) != 1:
         raise ConfigError("k", "wave needs a single --k")
     sol = newton_wave(kind, sym, ks[0], cfg.a, cfg.n_modes, tol=cfg.tol)
@@ -206,8 +190,7 @@ def cmd_resonances(cfg: RunConfig, args) -> int:
             "identically degenerate on this range: "
             + ",".join(sorted(scan.degenerate_everywhere))
         )
-    grid = [cfg.k_range[0] + i * (cfg.k_range[1] - cfg.k_range[0]) / 199 for i in range(200)]
-    report = check_assumptions(sym, grid, cfg.n_max)
+    report = check_assumptions(sym, linear_grid(*cfg.k_range, 200), cfg.n_max)
     for k_hit, n in report.m4_violations:
         if n > 2:  # n = 2 is already reported as R3
             preamble.append(f"harmonic resonance m(k)=m({n}k) near k={k_hit!r}")

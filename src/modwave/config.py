@@ -6,7 +6,10 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
+import numpy as np
+
 from .errors import ConfigError
+from .numerics import linear_grid
 from .stokes import EquationKind
 
 #: asymptotic-regime caps; values above these draw a warning, not an error
@@ -53,35 +56,25 @@ class RunConfig:
                 "equation", f"unknown value {self.equation!r}; use kdv, bbm or boussinesq"
             ) from None
 
-    def k_values(self) -> list[float]:
-        if self.k is not None:
-            return [float(self.k)]
-        if self.k_range is not None:
-            lo, hi = self.k_range
-            if not (0 < lo <= hi):
-                raise ConfigError("k_range", f"need 0 < lo <= hi, got {self.k_range}")
-            if self.k_steps < 1:
-                raise ConfigError("k_steps", "must be >= 1")
-            if self.k_steps == 1:
-                return [float(lo)]
-            step = (hi - lo) / (self.k_steps - 1)
-            return [lo + i * step for i in range(self.k_steps)]
-        raise ConfigError("k", "need --k or --k-range")
+    def _values(self, name: str, point, span, steps: int, valid, need: str) -> np.ndarray:
+        """The single point, or the evenly spaced grid over the range."""
+        if point is not None:
+            return np.array([float(point)])
+        if span is None:
+            raise ConfigError(name, f"need --{name} or --{name}-range")
+        if not valid(*span):
+            raise ConfigError(f"{name}_range", f"need {need}, got {span}")
+        if steps < 1:
+            raise ConfigError(f"{name}_steps", "must be >= 1")
+        return linear_grid(*span, steps)
 
-    def xi_values(self) -> list[float]:
-        if self.xi is not None:
-            return [float(self.xi)]
-        if self.xi_range is not None:
-            lo, hi = self.xi_range
-            if not (0 <= lo <= hi <= 0.5):
-                raise ConfigError("xi_range", f"need 0 <= lo <= hi <= 0.5, got {self.xi_range}")
-            if self.xi_steps < 1:
-                raise ConfigError("xi_steps", "must be >= 1")
-            if self.xi_steps == 1:
-                return [float(lo)]
-            step = (hi - lo) / (self.xi_steps - 1)
-            return [lo + i * step for i in range(self.xi_steps)]
-        raise ConfigError("xi", "need --xi or --xi-range")
+    def k_values(self) -> np.ndarray:
+        return self._values("k", self.k, self.k_range, self.k_steps,
+                            lambda lo, hi: 0 < lo <= hi, "0 < lo <= hi")
+
+    def xi_values(self) -> np.ndarray:
+        return self._values("xi", self.xi, self.xi_range, self.xi_steps,
+                            lambda lo, hi: 0 <= lo <= hi <= 0.5, "0 <= lo <= hi <= 0.5")
 
     def warnings(self) -> list[str]:
         out = []

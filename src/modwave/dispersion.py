@@ -1,7 +1,8 @@
 """Fourier-multiplier dispersion symbols m(k).
 
 Built-in families, a small expression parser for user-defined symbols,
-exact derivatives through second-order jets (m, m', m''), and empirical
+exact derivatives through second-order jets (m, m', m'') evaluated
+elementwise over scalars and k-arrays by one code path, and empirical
 verification of the structural assumptions (smoothness, evenness with
 m(0)=1, power-law tails, absence of harmonic resonances m(k)=m(nk)).
 """
@@ -13,77 +14,89 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import EmptyGrid, NonFinite, ParseError
-from .numerics import Bracket, find_root
+from .numerics import scan_roots, unbox
 
-#: second-order Taylor jet (f, f', f'') of a function at one point
-Jet = tuple[float, float, float]
+#: second-order Taylor jet (f, f', f'') of a function, elementwise over k
+Jet = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
 class DispersionSymbol:
     """Evaluable dispersion symbol m(k) with its exact derivative jet.
 
-    ``raw`` is the symbol as supplied (used for evenness checks); public
-    evaluation goes through :func:`eval_m`, which symmetrizes to |k|.
-    ``jet`` returns (m, m', m'') for k >= 0; :func:`jet_m` extends it to
-    every k.  ``alpha`` is the nominal growth exponent of the large-k tail
-    when known, ``params`` any named parameters of the family.
+    ``jet`` returns (m, m', m'') elementwise over a scalar or an array of
+    k; a scalar is a 0-d call of the same code.  ``raw`` is the value as
+    supplied, at any sign of k (used for evenness checks); every built-in
+    and expression takes it from the jet, so no formula is written twice.
+    Public evaluation goes through :func:`eval_m` and :func:`jet_m`, which
+    symmetrize to |k|.  ``alpha`` is the nominal growth exponent of the
+    large-k tail when known, ``params`` any named parameters of the family.
     """
 
     name: str
-    raw: Callable[[float], float]
-    jet: Callable[[float], Jet]
+    raw: Callable[[ArrayLike], np.ndarray]
+    jet: Callable[[ArrayLike], Jet]
     alpha: float | None = None
     params: dict[str, float] = field(default_factory=dict)
     warnings: tuple[str, ...] = ()
 
 
-def eval_m(sym: DispersionSymbol, k: float) -> float:
-    """m(k); evaluates at |k| since every admissible symbol is even."""
-    val = sym.raw(abs(k))
-    if not math.isfinite(val):
-        raise NonFinite(f"{sym.name}({k}) is not finite")
-    return val
+def _from_jet(name: str, jet: Callable[[ArrayLike], Jet], **kwargs) -> DispersionSymbol:
+    return DispersionSymbol(name=name, raw=lambda k: jet(k)[0], jet=jet, **kwargs)
 
 
-def jet_m(sym: DispersionSymbol, k: float) -> Jet:
-    """(m(k), m'(k), m''(k)), exact; m' is odd in k and m'' even."""
-    m, m1, m2 = sym.jet(abs(k))
-    if not (math.isfinite(m) and math.isfinite(m1) and math.isfinite(m2)):
-        raise NonFinite(f"jet of {sym.name} at k={k} is not finite: {(m, m1, m2)}")
-    return m, (-m1 if k < 0 else m1), m2
+def _require_finite(k: np.ndarray, ok: np.ndarray, message: Callable[[float], str]) -> None:
+    """Raise NonFinite naming the first k, in grid order, where ok is False."""
+    if not np.all(ok):
+        raise NonFinite(message(float(k[~ok].flat[0])))
 
 
-def phase_speed(sym: DispersionSymbol, k: float) -> float:
+def eval_m(sym: DispersionSymbol, k: ArrayLike):
+    """m(k) over a scalar or an array of k, at |k| since every admissible
+    symbol is even; a float for a scalar k."""
+    k = np.asarray(k, dtype=float)
+    m = sym.raw(np.abs(k))
+    _require_finite(k, np.isfinite(m), lambda bad: f"{sym.name}({bad}) is not finite")
+    return unbox(m)
+
+
+def jet_m(sym: DispersionSymbol, k: ArrayLike) -> Jet:
+    """(m(k), m'(k), m''(k)), exact; m' is odd in k and m'' even.  Floats
+    for a scalar k, arrays for an array."""
+    k = np.asarray(k, dtype=float)
+    m, m1, m2 = sym.jet(np.abs(k))
+    _require_finite(
+        k, np.isfinite(m) & np.isfinite(m1) & np.isfinite(m2),
+        lambda bad: f"jet of {sym.name} at k={bad} is not finite: "
+                    f"{tuple(map(float, sym.jet(abs(bad))))}",
+    )
+    return unbox(m), unbox(np.where(k < 0, -m1, m1)), unbox(m2)
+
+
+def phase_speed(sym: DispersionSymbol, k: ArrayLike):
     """Phase speed of the plane wave with wave number k; equals m(k)."""
     return eval_m(sym, k)
 
 
-def group_speed(sym: DispersionSymbol, k: float) -> float:
+def group_speed(sym: DispersionSymbol, k: ArrayLike):
     """Group speed (k m(k))' = m(k) + k m'(k)."""
     m, m1, _ = jet_m(sym, k)
-    return m + k * m1
+    return unbox(m + np.asarray(k, dtype=float) * m1)
 
 
 # ---------------------------------------------------------------------------
 # Jet arithmetic: forward-mode second-order rules (Griewank & Walther,
-# "Evaluating Derivatives", ch. 13).  The value is the same float operation
-# as plain evaluation and alone raises; a derivative that does not exist
-# where the value does comes out inf or nan.
+# "Evaluating Derivatives", ch. 13), elementwise in numpy.  Every ** is
+# np.float_power, which rounds like Python's float **.  A value or a
+# derivative that does not exist comes out inf or nan; callers evaluate
+# under np.errstate(all="ignore").
 # ---------------------------------------------------------------------------
 
 
-def _power(a: float, p: float) -> float:
-    """a**p in a derivative term: inf where it has no finite value."""
-    try:
-        return a**p
-    except (ZeroDivisionError, OverflowError):
-        return math.inf
-
-
-def _chain(x: Jet, g: float, g1: float, g2: float) -> Jet:
+def _chain(x: Jet, g, g1, g2) -> Jet:
     """Jet of g(a(k)) from the jet x of a and g, g', g'' at a."""
     return g, g1 * x[1], g2 * x[1] * x[1] + g1 * x[2]
 
@@ -91,30 +104,32 @@ def _chain(x: Jet, g: float, g1: float, g2: float) -> Jet:
 def _pow_jet(x: Jet, y: Jet) -> Jet:
     a, a1, a2 = x
     b, b1, b2 = y
-    v = a**b
-    if isinstance(v, complex):  # a < 0 with a non-integer exponent
-        return math.nan, math.nan, math.nan
-    if b1 == 0.0 and b2 == 0.0:  # constant exponent: the power rule
-        return _chain(x, v, b * _power(a, b - 1.0), b * (b - 1.0) * _power(a, b - 2.0))
-    if not a > 0.0:
-        return v, math.nan, math.nan
-    # a**b = exp(u) with u = b log a
-    lg, r1 = math.log(a), a1 / a
+    v = np.float_power(a, b)  # nan where a < 0 and b is not an integer
+    # constant exponent: the power rule
+    power = _chain(x, v, b * np.float_power(a, b - 1.0),
+                   b * (b - 1.0) * np.float_power(a, b - 2.0))
+    # variable exponent: a**b = exp(u) with u = b log a, for a > 0 only
+    lg, r1 = np.log(a), a1 / a
     u1 = b1 * lg + b * r1
     u2 = b2 * lg + 2.0 * b1 * r1 + b * (a2 / a - r1 * r1)
-    return v, v * u1, v * (u2 + u1 * u1)
+    constant, positive = (b1 == 0.0) & (b2 == 0.0), a > 0.0
+    return (
+        v,
+        np.where(constant, power[1], np.where(positive, v * u1, np.nan)),
+        np.where(constant, power[2], np.where(positive, v * (u2 + u1 * u1), np.nan)),
+    )
 
 
 def _sqrt_jet(x: Jet) -> Jet:
-    v = math.sqrt(x[0])
-    g1 = 0.5 / v if v else math.inf
+    v = np.sqrt(x[0])
+    g1 = 0.5 / v  # inf at v = 0
     return _chain(x, v, g1, -2.0 * g1 * g1 * g1)
 
 
 def _tanh_jet(x: Jet) -> Jet:
-    t = math.tanh(x[0])
-    e = math.exp(-2.0 * abs(x[0]))
-    s = 4.0 * e / (1.0 + e) ** 2  # sech^2 without the cancellation in 1 - t^2
+    t = np.tanh(x[0])
+    e = np.exp(-2.0 * np.abs(x[0]))
+    s = 4.0 * e / np.float_power(1.0 + e, 2)  # sech^2 without the cancellation in 1 - t^2
     return _chain(x, t, s, -2.0 * t * s)
 
 
@@ -123,49 +138,27 @@ def _tanh_jet(x: Jet) -> Jet:
 # ---------------------------------------------------------------------------
 
 
-def _whitham_g(k: float) -> float:
-    # tanh(k)/k with the removable singularity filled by its Taylor series
-    if abs(k) < 1e-6:
-        k2 = k * k
-        return 1.0 - k2 / 3.0 + 2.0 * k2 * k2 / 15.0
-    return math.tanh(k) / k
-
-
-def _whitham_g1(k: float) -> float:
-    if abs(k) < 1e-4:
-        return -2.0 * k / 3.0 + 8.0 * k**3 / 15.0
-    t = math.tanh(k)
-    return (1.0 - t * t) / k - t / (k * k)
-
-
-def _whitham_g2(k: float) -> float:
-    if abs(k) < 1e-3:
-        return -2.0 / 3.0 + 24.0 * k * k / 15.0
-    t = math.tanh(k)
-    s2 = 1.0 - t * t  # sech^2
-    return -2.0 * s2 * t / k - 2.0 * s2 / (k * k) + 2.0 * t / (k**3)
-
-
 def bbm_symbol() -> DispersionSymbol:
     """m(k) = 1/(1+k^2)."""
 
-    def jet(k: float) -> Jet:
+    def jet(k: ArrayLike) -> Jet:
+        k = np.asarray(k, dtype=float)
         q = 1.0 + k * k
-        return 1.0 / q, -2.0 * k / q**2, (6.0 * k * k - 2.0) / q**3
+        return 1.0 / q, -2.0 * k / np.float_power(q, 2), (6.0 * k * k - 2.0) / np.float_power(q, 3)
 
-    return DispersionSymbol(name="bbm", raw=lambda k: 1.0 / (1.0 + k * k), jet=jet, alpha=-2.0)
+    return _from_jet("bbm", jet, alpha=-2.0)
 
 
 def boussinesq_symbol() -> DispersionSymbol:
     """m(k) = (1+k^2)^(-1/2)."""
 
-    def jet(k: float) -> Jet:
+    def jet(k: ArrayLike) -> Jet:
+        k = np.asarray(k, dtype=float)
         q = 1.0 + k * k
-        return q**-0.5, -k * q**-1.5, (2.0 * k * k - 1.0) * q**-2.5
+        return (np.float_power(q, -0.5), -k * np.float_power(q, -1.5),
+                (2.0 * k * k - 1.0) * np.float_power(q, -2.5))
 
-    return DispersionSymbol(
-        name="boussinesq", raw=lambda k: (1.0 + k * k) ** -0.5, jet=jet, alpha=-1.0
-    )
+    return _from_jet("boussinesq", jet, alpha=-1.0)
 
 
 def fractional_symbol(alpha: float) -> DispersionSymbol:
@@ -175,25 +168,36 @@ def fractional_symbol(alpha: float) -> DispersionSymbol:
     derivative is unbounded at k = 0 the jet is not finite there.
     """
 
-    def raw(k: float) -> float:
-        if k == 0.0:
-            return 1.0 if alpha > 0.0 else math.inf
-        return 1.0 + abs(k) ** alpha
+    def jet(k: ArrayLike) -> Jet:
+        k = np.asarray(k, dtype=float)
+        a = np.abs(k)
+        with np.errstate(all="ignore"):
+            m = np.where(a == 0.0, 1.0 if alpha > 0.0 else math.inf, 1.0 + np.float_power(a, alpha))
+            p1, p2 = np.float_power(a, alpha - 1.0), np.float_power(a, alpha - 2.0)
+            return m, np.where(k < 0.0, -alpha * p1, alpha * p1), alpha * (alpha - 1.0) * p2
 
-    def jet(k: float) -> Jet:
-        p1, p2 = _power(k, alpha - 1.0), _power(k, alpha - 2.0)
-        return raw(k), alpha * p1, alpha * (alpha - 1.0) * p2
+    return _from_jet(f"fractional(alpha={alpha:g})", jet, alpha=alpha, params={"alpha": alpha})
 
-    return DispersionSymbol(name=f"fractional(alpha={alpha:g})", raw=raw, jet=jet, alpha=alpha,
-                            params={"alpha": alpha})
+
+def _whitham_jet(k: ArrayLike) -> Jet:
+    # g = tanh(k)/k and its derivatives, each with the removable singularity
+    # at 0 filled by its Taylor series; m = sqrt(g)
+    k = np.asarray(k, dtype=float)
+    a, k2 = np.abs(k), k * k
+    with np.errstate(all="ignore"):
+        t = np.tanh(k)
+        s2 = 1.0 - t * t  # sech^2
+        g = np.where(a < 1e-6, 1.0 - k2 / 3.0 + 2.0 * k2 * k2 / 15.0, t / k)
+        g1 = np.where(a < 1e-4, -2.0 * k / 3.0 + 8.0 * np.float_power(k, 3) / 15.0,
+                      s2 / k - t / (k * k))
+        g2 = np.where(a < 1e-3, -2.0 / 3.0 + 24.0 * k * k / 15.0,
+                      -2.0 * s2 * t / k - 2.0 * s2 / (k * k) + 2.0 * t / np.float_power(k, 3))
+        return _sqrt_jet((g, g1, g2))
 
 
 def whitham_symbol() -> DispersionSymbol:
     """m(k) = sqrt(tanh(k)/k), with m(0) = 1 by the Taylor limit."""
-    return DispersionSymbol(
-        name="whitham", raw=lambda k: math.sqrt(_whitham_g(k)), alpha=-0.5,
-        jet=lambda k: _sqrt_jet((_whitham_g(k), _whitham_g1(k), _whitham_g2(k))),
-    )
+    return _from_jet("whitham", _whitham_jet, alpha=-0.5)
 
 
 _BUILTINS: dict[str, Callable[..., DispersionSymbol]] = {
@@ -224,9 +228,9 @@ def builtin_symbol(name: str, **params: float) -> DispersionSymbol:
 _FUNCTIONS: dict[str, tuple[int, Callable[..., Jet]]] = {
     "sqrt": (1, _sqrt_jet),
     "tanh": (1, _tanh_jet),
-    "abs": (1, lambda x: _chain(x, abs(x[0]), math.copysign(1.0, x[0]), 0.0)),
-    "exp": (1, lambda x: _chain(x, *[math.exp(x[0])] * 3)),
-    "cos": (1, lambda x: _chain(x, math.cos(x[0]), -math.sin(x[0]), -math.cos(x[0]))),
+    "abs": (1, lambda x: _chain(x, np.abs(x[0]), np.copysign(1.0, x[0]), 0.0)),
+    "exp": (1, lambda x: _chain(x, *[np.exp(x[0])] * 3)),
+    "cos": (1, lambda x: _chain(x, np.cos(x[0]), -np.sin(x[0]), -np.cos(x[0]))),
     "pow": (2, _pow_jet),
 }
 
@@ -365,13 +369,13 @@ class _Parser:
                          ("number", "identifier", "("))
 
 
-def _jet_node(node, k: float) -> Jet:
-    """(f, f', f'') of an expression node at k."""
+def _jet_node(node, k: np.ndarray) -> Jet:
+    """(f, f', f'') of an expression node, elementwise over k."""
     op = node[0]
-    if op == "num":
-        return node[1], 0.0, 0.0
+    if op == "num":  # numpy scalars, so a constant 0/0 is nan, not an exception
+        return np.float64(node[1]), np.float64(0.0), np.float64(0.0)
     if op == "var":
-        return k, 1.0, 0.0
+        return k, np.float64(1.0), np.float64(0.0)
     if op == "neg":
         a, a1, a2 = _jet_node(node[1], k)
         return -a, -a1, -a2
@@ -395,6 +399,8 @@ def _jet_node(node, k: float) -> Jet:
 
 
 _PROBE_GRID = (0.3781, 0.9132, 1.7, 2.64, 4.41, 7.9)
+#: offsets of the two-sided limit probe, in units of h
+_PROBE_STEPS = np.array([-2.0, -1.0, 1.0, 2.0])[:, None]
 
 
 def parse_symbol(expr: str, params: dict[str, float] | None = None) -> DispersionSymbol:
@@ -407,47 +413,53 @@ def parse_symbol(expr: str, params: dict[str, float] | None = None) -> Dispersio
     params = dict(params or {})
     ast = _Parser(expr, params).parse()
 
-    def at(k: float) -> Jet:
-        try:
-            return _jet_node(ast, k)
-        except (ZeroDivisionError, ValueError, OverflowError):
-            return math.nan, math.nan, math.nan
+    def at(k: np.ndarray) -> list[np.ndarray]:
+        with np.errstate(all="ignore"):
+            return [np.array(np.broadcast_to(c, k.shape), dtype=float) for c in _jet_node(ast, k)]
 
-    def jet(k: float) -> Jet:
+    def filled(k: ArrayLike) -> list[np.ndarray]:
+        """The jet with removable singularities filled; nan where none is."""
+        k = np.asarray(k, dtype=float)
         j = at(k)
-        if math.isfinite(j[0]):
-            return j
-        # probe the two-sided limit of the value's removable singularity
-        h = 1e-6 * max(1.0, abs(k))
-        samples = [s for s in map(at, (k - 2 * h, k - h, k + h, k + 2 * h)) if math.isfinite(s[0])]
-        values = [s[0] for s in samples]
-        if len(samples) >= 2 and max(values) - min(values) <= 1e-6 * max(1.0, abs(values[0])):
-            return tuple(float(np.mean(c)) for c in zip(*samples))
-        raise NonFinite(f"expression {expr!r} is not finite at k={k}")
+        bad = ~np.isfinite(j[0])
+        if np.any(bad):
+            # probe the two-sided limit of the value at every non-finite k
+            kb = k[bad]
+            samples = at(kb + _PROBE_STEPS * (1e-6 * np.maximum(1.0, np.abs(kb))))
+            ok = np.isfinite(samples[0])
+            count = ok.sum(axis=0)
+            first = samples[0][ok.argmax(axis=0), np.arange(kb.size)]
+            spread = (np.where(ok, samples[0], -np.inf).max(axis=0)
+                      - np.where(ok, samples[0], np.inf).min(axis=0))
+            limit = (count >= 2) & (spread <= 1e-6 * np.maximum(1.0, np.abs(first)))
+            with np.errstate(all="ignore"):
+                for c, s in zip(j, samples):
+                    c[bad] = np.where(limit, np.where(ok, s, 0.0).sum(axis=0) / count, np.nan)
+        return j
 
-    def raw(k: float) -> float:
-        return jet(k)[0]
+    def jet(k: ArrayLike) -> Jet:
+        j = filled(k)
+        _require_finite(np.asarray(k, dtype=float), np.isfinite(j[0]),
+                        lambda bad: f"expression {expr!r} is not finite at k={bad}")
+        return tuple(j)
 
     warnings = []
-    try:
-        m0 = raw(0.0)
-        if abs(m0 - 1.0) > 1e-12:
-            warnings.append(f"normalization violated: m(0) = {m0!r}, expected 1")
-    except NonFinite:
+    m0 = float(filled(0.0)[0])
+    if not math.isfinite(m0):
         warnings.append("normalization violated: m(0) is not finite")
-    for kk in _PROBE_GRID:
-        try:
-            left, right = raw(-kk), raw(kk)
-        except NonFinite:
-            warnings.append(f"evaluation failed on probe point k={kk}")
-            continue
-        if abs(left - right) > 1e-9 * max(1.0, abs(right)):
-            warnings.append(f"evenness violated: m({-kk}) != m({kk})")
-            break
+    elif abs(m0 - 1.0) > 1e-12:
+        warnings.append(f"normalization violated: m(0) = {m0!r}, expected 1")
+    probe = np.array(_PROBE_GRID)
+    left, right = filled(-probe)[0], filled(probe)[0]
+    finite = np.isfinite(left) & np.isfinite(right)
+    odd = np.flatnonzero(finite & (np.abs(left - right) > 1e-9 * np.maximum(1.0, np.abs(right))))
+    stop = int(odd[0]) if odd.size else len(_PROBE_GRID)  # the first odd point ends the scan
+    warnings += [f"evaluation failed on probe point k={kk}"
+                 for kk, ok in zip(_PROBE_GRID[:stop], finite[:stop]) if not ok]
+    if odd.size:
+        warnings.append(f"evenness violated: m({-_PROBE_GRID[stop]}) != m({_PROBE_GRID[stop]})")
 
-    return DispersionSymbol(
-        name=f"expr[{expr}]", raw=raw, jet=jet, params=params, warnings=tuple(warnings)
-    )
+    return _from_jet(f"expr[{expr}]", jet, params=params, warnings=tuple(warnings))
 
 
 def symbol_from_config(spec: dict) -> DispersionSymbol:
@@ -495,7 +507,7 @@ def check_assumptions(
 
     The tail exponent is fitted by log-log regression over the top decade
     of the grid; the power-law envelope (C1, C2, alpha_hat) is reported.
-    Resonances m(k) = m(nk) are located by sign-change bisection for
+    Resonances m(k) = m(nk) are located by one sign-change scan per
     n = 2..n_max; any hit is a violation of the non-resonance assumption
     and downstream expansions refuse those wave numbers.
     """
@@ -506,23 +518,21 @@ def check_assumptions(
         raise ValueError("n_max must be >= 2")
 
     # (M1): the jet is finite and consistent with central differences
-    def jet_ok(k: float) -> bool:
-        try:
-            _, d1, d2 = jet_m(sym, k)
-            h1, h2 = 1e-5 * max(1.0, abs(k)), 1e-4 * max(1.0, abs(k))
-            fd1 = (eval_m(sym, k + h1) - eval_m(sym, k - h1)) / (2 * h1)
-            fd2 = (eval_m(sym, k + h2) - 2.0 * eval_m(sym, k) + eval_m(sym, k - h2)) / (h2 * h2)
-        except NonFinite:
-            return False
-        return max(abs(d1 - fd1) / max(1.0, abs(d1)), abs(d2 - fd2) / max(1.0, abs(d2))) <= 1e-3
-
-    m1_ok = all(jet_ok(k) for k in grid.tolist())
+    try:
+        _, d1, d2 = jet_m(sym, grid)
+        h1, h2 = 1e-5 * np.maximum(1.0, np.abs(grid)), 1e-4 * np.maximum(1.0, np.abs(grid))
+        fd1 = (eval_m(sym, grid + h1) - eval_m(sym, grid - h1)) / (2 * h1)
+        fd2 = (eval_m(sym, grid + h2) - 2.0 * eval_m(sym, grid) + eval_m(sym, grid - h2)) / (h2 * h2)
+        m1_ok = bool(np.all(np.maximum(np.abs(d1 - fd1) / np.maximum(1.0, np.abs(d1)),
+                                       np.abs(d2 - fd2) / np.maximum(1.0, np.abs(d2))) <= 1e-3))
+    except NonFinite:
+        m1_ok = False
 
     # (M2): normalization and evenness of the raw expression
     try:
-        probe = grid[:: max(1, grid.size // 16)].tolist()
-        m2_ok = abs(sym.raw(0.0) - 1.0) <= 1e-12 and all(
-            abs(sym.raw(-k) - sym.raw(k)) <= 1e-12 for k in probe)
+        probe = grid[:: max(1, grid.size // 16)]
+        m2_ok = bool(abs(sym.raw(0.0) - 1.0) <= 1e-12) and bool(
+            np.all(np.abs(sym.raw(-probe) - sym.raw(probe)) <= 1e-12))
     except NonFinite:
         m2_ok = False
 
@@ -530,7 +540,7 @@ def check_assumptions(
     tail = grid[grid >= grid[-1] / 10.0]
     if tail.size < 3:
         tail = grid[-3:]
-    vals = np.array([eval_m(sym, float(k)) for k in tail])
+    vals = eval_m(sym, tail)
     if np.any(vals <= 0.0):
         m3_ok = False
         bounds = (math.nan, math.nan, math.nan)
@@ -544,23 +554,12 @@ def check_assumptions(
         m3_ok = bool(np.max(np.abs(resid)) <= 0.15)
 
     # (M4): second and higher harmonic resonances
-    violations: list[tuple[float, int]] = []
-    for n in range(2, n_max + 1):
-        def g(k: float, n=n) -> float:
-            return eval_m(sym, k) - eval_m(sym, n * k)
-
-        prev_k = float(grid[0])
-        prev_g = g(prev_k)
-        if abs(prev_g) < 1e-14:
-            violations.append((prev_k, n))
-        for k in grid[1:]:
-            cur_g = g(float(k))
-            if abs(cur_g) < 1e-14:
-                violations.append((float(k), n))
-            elif prev_g * cur_g < 0.0:
-                root = find_root(g, Bracket(prev_k, float(k), prev_g, cur_g), 1e-12)
-                violations.append((root, n))
-            prev_k, prev_g = float(k), cur_g
+    violations = [
+        (root, n)
+        for n in range(2, n_max + 1)
+        for root in scan_roots(lambda k, n=n: eval_m(sym, k) - eval_m(sym, n * k), grid,
+                               tol=1e-12, zero_tol=1e-14)[1]
+    ]
     m4_ok = not violations
 
     return AssumptionReport(
@@ -570,5 +569,5 @@ def check_assumptions(
         m4_ok=m4_ok,
         m3_bounds=bounds,
         m4_violations=tuple(violations),
-        grid=tuple(float(k) for k in grid),
+        grid=tuple(grid.tolist()),
     )

@@ -22,7 +22,7 @@ import numpy as np
 
 from .dispersion import DispersionSymbol, eval_m, group_speed
 from .errors import MatchFailure, TruncationTooSmall, UnsupportedKind
-from .numerics import Bracket, cos_to_full, eig_dense, find_root
+from .numerics import cos_to_full, eig_dense, scan_roots
 from .pencil import build_pencil
 from .stokes import EquationKind, WaveSolution, newton_wave
 
@@ -76,7 +76,7 @@ def assemble(
     eye = np.eye(dim)
     modes = np.arange(-n_modes, n_modes + 1)
     shifted = modes + xi
-    mvals = np.array([eval_m(sym, k * s) for s in shifted])
+    mvals = eval_m(sym, k * shifted)
     # coefficients over the doubled window so every difference n-m resolves;
     # entries beyond the wave's truncation are zero (no aliasing wrap)
     w = cos_to_full(wave.u_hat, 2 * n_modes)
@@ -98,8 +98,8 @@ def assemble(
 
 def near_origin_radius(sym: DispersionSymbol, k: float, xi: float) -> float:
     """Matching radius 10 xi (1 + max group speed over the first modes)."""
-    gmax = max(abs(group_speed(sym, k * (n + xi))) for n in (-1, 0, 1))
-    return 10.0 * xi * (1.0 + gmax)
+    gmax = np.max(np.abs(group_speed(sym, k * (np.array([-1, 0, 1]) + xi))))
+    return float(10.0 * xi * (1.0 + gmax))
 
 
 def spectrum(op: BlochOperator, sym: DispersionSymbol | None = None) -> SpectrumSlice:
@@ -127,13 +127,15 @@ def zero_multiplicity(op: BlochOperator, radius: float = 1e-8) -> int:
 # ---------------------------------------------------------------------------
 
 
-def omega_scalar(sym: DispersionSymbol, k: float, n: int, xi: float) -> float:
-    """Flat-state frequency (xi+n)(m(k) - m(k(xi+n))) of the scalar family."""
+def omega_scalar(sym: DispersionSymbol, k: float, n: int, xi):
+    """Flat-state frequency (xi+n)(m(k) - m(k(xi+n))) of the scalar family,
+    elementwise over an array of xi."""
     return (xi + n) * (eval_m(sym, k) - eval_m(sym, k * (xi + n)))
 
 
-def omega_pm(sym: DispersionSymbol, k: float, n: int, xi: float, branch: int) -> float:
-    """Flat-state frequency (xi+n)(m(k) +/- m(k(xi+n))) of the two branches."""
+def omega_pm(sym: DispersionSymbol, k: float, n: int, xi, branch: int):
+    """Flat-state frequency (xi+n)(m(k) +/- m(k(xi+n))) of the two branches,
+    elementwise over an array of xi."""
     return (xi + n) * (eval_m(sym, k) + branch * eval_m(sym, k * (xi + n)))
 
 
@@ -150,18 +152,8 @@ def _scan_pair(f, xi_grid) -> list[float]:
     # transversal crossings via sign change; an exact zero is only accepted
     # at the right endpoint xi = 1/2 (interior samples sit on the trivial
     # common zero tail of all branches as xi -> 0)
-    vals = np.array([f(float(x)) for x in xi_grid])
+    vals, hits = scan_roots(f, xi_grid, tol=1e-12)
     scale = max(1.0, float(np.max(np.abs(vals))))
-    hits: list[float] = []
-    for i in range(xi_grid.size - 1):
-        if vals[i] * vals[i + 1] < 0.0:
-            hits.append(
-                find_root(
-                    f,
-                    Bracket(float(xi_grid[i]), float(xi_grid[i + 1]), vals[i], vals[i + 1]),
-                    tol=1e-12,
-                )
-            )
     if abs(vals[-1]) <= 1e-12 * scale:
         hits.append(float(xi_grid[-1]))
     hits.sort()

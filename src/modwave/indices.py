@@ -3,20 +3,21 @@
 The resonance quantities i1, i2-, i2+, i3-, i3+ combine with an
 equation-specific factor into a single index whose sign decides spectral
 stability or instability near the origin of the spectral plane for
-small-amplitude waves.
+small-amplitude waves.  Every quantity is computed elementwise over a
+k-array in one pass; a scalar k is a 0-d (or one-element) call of the
+same code.
 """
 
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .dispersion import DispersionSymbol, eval_m, jet_m
 from .errors import UnsupportedKind
-from .numerics import Bracket, find_root
+from .numerics import scan_roots, unbox
 from .stokes import EquationKind
 
 #: |value| below this counts as a degenerate zero of an index
@@ -32,21 +33,45 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class IndexReport:
-    k: float
-    i1: float
-    i2m: float
-    i2p: float
-    i3m: float
-    i3p: float
-    i_eq: float
-    ind: float
-    verdict: Verdict
-    resonance_flags: frozenset[str]
+    """The index at one k (floats, a Verdict and a frozenset of flags), or
+    columns over a k-grid (arrays; verdicts and flags in object arrays).
+    Indexing a column report gives the report at those grid positions."""
+
+    k: float | np.ndarray
+    i1: float | np.ndarray
+    i2m: float | np.ndarray
+    i2p: float | np.ndarray
+    i3m: float | np.ndarray
+    i3p: float | np.ndarray
+    i_eq: float | np.ndarray
+    ind: float | np.ndarray
+    verdict: Verdict | np.ndarray
+    resonance_flags: frozenset[str] | np.ndarray
+
+    def __getitem__(self, rows) -> "IndexReport":
+        def pick(column):
+            x = column[rows]
+            return float(x) if isinstance(x, np.floating) else x
+
+        return IndexReport(*(pick(getattr(self, f.name)) for f in fields(self)))
 
 
-def _base(sym: DispersionSymbol, k: float) -> tuple[tuple[float, ...], float]:
-    """base_indices together with the m(2k) they were computed from."""
-    if k <= 0:
+#: Verdict by the codes ind computes
+_VERDICTS = np.array(
+    [Verdict.DEGENERATE, Verdict.MODULATIONALLY_UNSTABLE, Verdict.INCONCLUSIVE,
+     Verdict.STABLE_NEAR_ORIGIN],
+    dtype=object,
+)
+#: resonance flag sets by bit code (R1 = 1, R2 = 2, R3 = 4, R4 = 8)
+_FLAG_SETS = np.empty(16, dtype=object)
+_FLAG_SETS[:] = [frozenset(f"R{b + 1}" for b in range(4) if code >> b & 1) for code in range(16)]
+
+
+def _base(sym: DispersionSymbol, k) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """base_indices together with the m(2k) they were computed from,
+    elementwise over k."""
+    k = np.asarray(k, dtype=float)
+    if np.any(k <= 0):
         raise ValueError("k must be positive")
     m, mp, mpp = jet_m(sym, k)
     m2 = eval_m(sym, 2 * k)
@@ -55,15 +80,15 @@ def _base(sym: DispersionSymbol, k: float) -> tuple[tuple[float, ...], float]:
     return (i1, gs - 1.0, gs + 1.0, m - m2, m + m2), m2
 
 
-def base_indices(sym: DispersionSymbol, k: float) -> tuple[float, float, float, float, float]:
-    """(i1, i2-, i2+, i3-, i3+) from exact derivative formulas.
+def base_indices(sym: DispersionSymbol, k):
+    """(i1, i2-, i2+, i3-, i3+) from exact derivative formulas, elementwise.
 
     i1 = (k m)'' = 2m' + k m'';  i2∓ = (k m)' ∓ 1;  i3∓ = m(k) ∓ m(2k).
     """
-    return _base(sym, k)[0]
+    return tuple(unbox(x) for x in _base(sym, k)[0])
 
 
-def _combine(kind: EquationKind, base: tuple[float, ...], m2: float) -> float:
+def _combine(kind: EquationKind, base: tuple[np.ndarray, ...], m2: np.ndarray) -> np.ndarray:
     """Equation index from the base indices and m(2k)."""
     _, i2m, i2p, i3m, i3p = base
     if kind is EquationKind.KDV:
@@ -71,30 +96,49 @@ def _combine(kind: EquationKind, base: tuple[float, ...], m2: float) -> float:
     if kind is EquationKind.BBM:
         return 2.0 * i3m + m2 * i2m
     if kind is EquationKind.BOUSSINESQ:
-        return 2.0 * i3m * i3p + m2**2 * i2m * i2p
+        return 2.0 * i3m * i3p + np.float_power(m2, 2) * i2m * i2p
     raise UnsupportedKind(str(kind))
 
 
-def i_kdv(sym: DispersionSymbol, k: float) -> float:
+def _columns(kind: EquationKind, sym: DispersionSymbol, k):
+    """(i1, i2-, i2+, i3-, i3+, i_eq, ind, denominator of ind), elementwise.
+
+    ind is nan where the denominator is degenerate.
+    """
+    base, m2 = _base(sym, k)
+    i1, i2m, i2p, i3m, i3p = base
+    i_eq = _combine(kind, base, m2)
+    if kind is EquationKind.BOUSSINESQ:
+        denom = i3m * i3p
+        numer = i1 * i2m * i2p * i_eq
+    else:
+        denom = i3m
+        numer = i1 * i2m * i_eq
+    with np.errstate(all="ignore"):
+        value = np.where(np.abs(denom) <= DEGENERACY_TOL, np.nan, numer / denom)
+    return (*base, i_eq, value, denom)
+
+
+def i_kdv(sym: DispersionSymbol, k):
     """2 i3- + i2-."""
-    return _combine(EquationKind.KDV, *_base(sym, k))
+    return equation_index(EquationKind.KDV, sym, k)
 
 
-def i_bbm(sym: DispersionSymbol, k: float) -> float:
+def i_bbm(sym: DispersionSymbol, k):
     """2 i3- + m(2k) i2-."""
-    return _combine(EquationKind.BBM, *_base(sym, k))
+    return equation_index(EquationKind.BBM, sym, k)
 
 
-def i_bnesq(sym: DispersionSymbol, k: float) -> float:
+def i_bnesq(sym: DispersionSymbol, k):
     """2 i3- i3+ + m^2(2k) i2- i2+."""
-    return _combine(EquationKind.BOUSSINESQ, *_base(sym, k))
+    return equation_index(EquationKind.BOUSSINESQ, sym, k)
 
 
-def equation_index(kind: EquationKind, sym: DispersionSymbol, k: float) -> float:
-    return _combine(kind, *_base(sym, k))
+def equation_index(kind: EquationKind, sym: DispersionSymbol, k):
+    return unbox(_combine(kind, *_base(sym, k)))
 
 
-def ind(kind: EquationKind, sym: DispersionSymbol, k: float) -> IndexReport:
+def ind(kind: EquationKind, sym: DispersionSymbol, k) -> IndexReport:
     """Full index evaluation with verdict and active resonance flags.
 
     The instability index is the quotient i1*i2-*i_eq/i3- (unidirectional)
@@ -102,51 +146,23 @@ def ind(kind: EquationKind, sym: DispersionSymbol, k: float) -> IndexReport:
     modulational instability, a positive one stability near the spectral
     origin -- except for the bidirectional system, where positivity is
     inconclusive and the quartic classification of the reduced pencil
-    settles the verdict.
+    settles the verdict.  A k-array gives one report of columns over the
+    grid; a scalar k is a one-element call of the same code.
     """
-    base, m2 = _base(sym, k)
-    i1, i2m, i2p, i3m, i3p = base
-    i_eq = _combine(kind, base, m2)
+    ks = np.atleast_1d(np.asarray(k, dtype=float))
+    i1, i2m, i2p, i3m, i3p, i_eq, value, denom = _columns(kind, sym, ks)
+    bidirectional = kind is EquationKind.BOUSSINESQ
 
-    flags = set()
-    if abs(i1) <= DEGENERACY_TOL:
-        flags.add("R1")
-    if abs(i2m) <= DEGENERACY_TOL or (
-        kind is EquationKind.BOUSSINESQ and abs(i2p) <= DEGENERACY_TOL
-    ):
-        flags.add("R2")
-    if abs(i3m) <= DEGENERACY_TOL or (
-        kind is EquationKind.BOUSSINESQ and abs(i3p) <= DEGENERACY_TOL
-    ):
-        flags.add("R3")
-    if abs(i_eq) <= DEGENERACY_TOL:
-        flags.add("R4")
+    def small(x: np.ndarray) -> np.ndarray:
+        return np.abs(x) <= DEGENERACY_TOL
 
-    if kind is EquationKind.BOUSSINESQ:
-        denom = i3m * i3p
-        numer = i1 * i2m * i2p * i_eq
-    else:
-        denom = i3m
-        numer = i1 * i2m * i_eq
-
-    if abs(denom) <= DEGENERACY_TOL:
-        value = math.nan
-        verdict = Verdict.DEGENERATE
-    else:
-        value = numer / denom
-        if abs(value) <= DEGENERACY_TOL:
-            verdict = Verdict.DEGENERATE
-        elif value < 0:
-            verdict = Verdict.MODULATIONALLY_UNSTABLE
-        elif kind is EquationKind.BOUSSINESQ:
-            verdict = Verdict.INCONCLUSIVE
-        else:
-            verdict = Verdict.STABLE_NEAR_ORIGIN
-
-    return IndexReport(
-        k=k, i1=i1, i2m=i2m, i2p=i2p, i3m=i3m, i3p=i3p, i_eq=i_eq,
-        ind=value, verdict=verdict, resonance_flags=frozenset(flags),
-    )
+    flags = (small(i1) * 1 + (small(i2m) | (bidirectional & small(i2p))) * 2
+             + (small(i3m) | (bidirectional & small(i3p))) * 4 + small(i_eq) * 8)
+    code = np.where(small(denom) | small(value), 0,
+                    np.where(value < 0.0, 1, 2 if bidirectional else 3))
+    report = IndexReport(ks, i1, i2m, i2p, i3m, i3p, i_eq, value, _VERDICTS[code],
+                         _FLAG_SETS[flags])
+    return report[0] if np.ndim(k) == 0 else report
 
 
 @dataclass(frozen=True)
@@ -177,33 +193,18 @@ def find_resonances(
     if not (0 < k_lo < k_hi):
         raise ValueError("need 0 < k_lo < k_hi")
     grid = np.linspace(k_lo, k_hi, samples)
-
-    def fns():
-        yield "R1", lambda k: base_indices(sym, k)[0]
-        yield "R2", lambda k: base_indices(sym, k)[1]
-        if kind is EquationKind.BOUSSINESQ:
-            yield "R2", lambda k: base_indices(sym, k)[2]
-        yield "R3", lambda k: base_indices(sym, k)[3]
-        if kind is EquationKind.BOUSSINESQ:
-            yield "R3", lambda k: base_indices(sym, k)[4]
-        yield "R4", lambda k: equation_index(kind, sym, k)
-
+    # (label, column of _columns): i1, i2-, [i2+], i3-, [i3+], i_eq
+    both = kind is EquationKind.BOUSSINESQ
+    quantities = [("R1", 0), ("R2", 1)] + [("R2", 2)] * both + [("R3", 3)] + [("R3", 4)] * both
     points: list[ResonancePoint] = []
     degenerate: set[str] = set()
-    for label, f in fns():
-        vals = np.array([f(float(kk)) for kk in grid])
+    for label, col in quantities + [("R4", 5)]:
+        vals, roots = scan_roots(lambda k, col=col: _columns(kind, sym, k)[col], grid,
+                                 tol=1e-10, zero_tol=0.0)
         if np.max(np.abs(vals)) <= DEGENERACY_TOL:
             degenerate.add(label)
             continue
-        for i in range(grid.size - 1):
-            if vals[i] == 0.0:
-                points.append(ResonancePoint(float(grid[i]), label))
-            elif vals[i] * vals[i + 1] < 0.0:
-                root = find_root(
-                    f, Bracket(float(grid[i]), float(grid[i + 1]), vals[i], vals[i + 1]),
-                    tol=1e-10,
-                )
-                points.append(ResonancePoint(root, label))
+        points += [ResonancePoint(root, label) for root in roots]
     points.sort(key=lambda p: (p.k, p.kind))
     return ResonanceScan(points=tuple(points), degenerate_everywhere=frozenset(degenerate))
 
@@ -214,22 +215,17 @@ def critical_wavenumber(
     k_range: tuple[float, float],
     samples: int = 400,
 ) -> float | None:
-    """Smallest sign change of the instability index in the range, if any."""
+    """Smallest sign change of the instability index in the range, if any.
+
+    A sign change across which the index denominator (i3-, or i3- i3+)
+    changes sign too is a pole of the quotient, not a threshold, and is
+    skipped.
+    """
     k_lo, k_hi = k_range
     if not (0 < k_lo < k_hi):
         raise ValueError("need 0 < k_lo < k_hi")
-    grid = np.linspace(k_lo, k_hi, samples)
-
-    def f(k: float) -> float:
-        return ind(kind, sym, float(k)).ind
-
-    vals = np.array([f(float(kk)) for kk in grid])
-    for i in range(grid.size - 1):
-        if vals[i] == 0.0:
-            return float(grid[i])
-        if vals[i] * vals[i + 1] < 0.0:
-            return find_root(
-                f, Bracket(float(grid[i]), float(grid[i + 1]), vals[i], vals[i + 1]),
-                tol=1e-12,
-            )
-    return None
+    _, roots = scan_roots(
+        lambda k: _columns(kind, sym, k)[6], np.linspace(k_lo, k_hi, samples),
+        tol=1e-12, zero_tol=0.0, poles=lambda k: _columns(kind, sym, k)[7],
+    )
+    return roots[0] if roots else None

@@ -1,6 +1,7 @@
 """Shared numerical kernels.
 
-Bracketed root finding, companion-matrix polynomial roots, a dense
+Bracketed root finding, a sample-then-refine root scan over a grid, the
+evenly spaced grid itself, companion-matrix polynomial roots, a dense
 eigensolver wrapper, and cosine-series helpers used by the wave solver
 and the Bloch operator assembly: conversion between cosine and full-line
 coefficients (padded to any mode window), products by convolution, and
@@ -20,6 +21,11 @@ from .errors import EigenFailure, LeadingZero, NoBracket, NoConvergence
 
 # Fixed seed for every randomized property test in the suite.
 PROPERTY_TEST_SEED = 0x5EED_0D15_9E45_0001
+
+
+def unbox(x):
+    """A 0-d result as a Python float; arrays pass through."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def property_rng() -> np.random.Generator:
@@ -88,6 +94,46 @@ def find_root(f: Callable[[float], float], bracket: Bracket, tol: float = 1e-12)
     raise NoConvergence(200, min(abs(f_lo), abs(f_hi)))
 
 
+def scan_roots(
+    f: Callable,
+    grid: np.ndarray,
+    tol: float = 1e-12,
+    zero_tol: float | None = None,
+    poles: Callable | None = None,
+) -> tuple[np.ndarray, list[float]]:
+    """Roots of f on a sample grid, in grid order, and the samples of f.
+
+    f is sampled once over the whole grid by an array call.  With
+    zero_tol set, a sample with |f| <= zero_tol is a root itself; every
+    other pair of neighbouring samples of opposite sign brackets a root,
+    refined by find_root through 0-d calls of f.  A bracket across which
+    ``poles`` (sampled on the same grid) also changes sign holds a pole of
+    f, not a root, and is skipped.
+    """
+    grid = np.asarray(grid, dtype=float)
+    vals = np.asarray(f(grid), dtype=float)
+    zero = np.zeros(grid.size, dtype=bool) if zero_tol is None else np.abs(vals) <= zero_tol
+    cross = (vals[:-1] * vals[1:] < 0.0) & ~zero[:-1] & ~zero[1:]
+    if poles is not None:
+        p = np.asarray(poles(grid), dtype=float)
+        cross &= ~(p[:-1] * p[1:] < 0.0)
+    roots = []
+    for i in np.flatnonzero(zero | np.append(cross, False)).tolist():
+        if zero[i]:
+            roots.append(float(grid[i]))
+        else:
+            bracket = Bracket(float(grid[i]), float(grid[i + 1]), float(vals[i]), float(vals[i + 1]))
+            roots.append(find_root(lambda x: float(f(x)), bracket, tol))
+    return vals, roots
+
+
+def linear_grid(lo: float, hi: float, steps: int) -> np.ndarray:
+    """steps evenly spaced points lo + i*(hi - lo)/(steps - 1); [lo] for one step."""
+    if steps == 1:
+        return np.array([float(lo)])
+    return np.arange(steps) * ((hi - lo) / (steps - 1)) + lo
+
+
 def poly_roots(coeffs: Sequence[complex]) -> np.ndarray:
     """All roots of sum(coeffs[i] * x^(n-i)) via the companion matrix.
 
@@ -105,24 +151,6 @@ def poly_roots(coeffs: Sequence[complex]) -> np.ndarray:
     if n > 1:
         companion[1:, :-1] = np.eye(n - 1)
     return eig_dense(companion)
-
-
-def cluster_roots(roots: np.ndarray, tol: float = 1e-8) -> list[tuple[complex, int]]:
-    """Group near-coincident roots; returns (representative, multiplicity)."""
-    remaining = list(np.asarray(roots, dtype=complex))
-    clusters: list[tuple[complex, int]] = []
-    while remaining:
-        seed = remaining.pop(0)
-        members = [seed]
-        rest = []
-        for r in remaining:
-            if abs(r - seed) <= tol * max(1.0, abs(seed)):
-                members.append(r)
-            else:
-                rest.append(r)
-        remaining = rest
-        clusters.append((complex(np.mean(members)), len(members)))
-    return clusters
 
 
 def eig_dense(matrix: np.ndarray) -> np.ndarray:

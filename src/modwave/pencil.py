@@ -37,6 +37,7 @@ from .errors import (
     UnsupportedKind,
 )
 from .indices import IndexReport, Verdict, ind
+from .numerics import unbox
 from .stokes import RESONANCE_TOL, EquationKind
 
 #: admissible relative imaginary residue when realifying coefficients
@@ -88,11 +89,6 @@ class ReducedPencil:
         }
 
 
-def _unbox(x):
-    """A 0-d result as a Python float; arrays pass through."""
-    return float(x) if np.ndim(x) == 0 else x
-
-
 def _coefficient_arrays(*p) -> list[np.ndarray]:
     """Coefficients as float arrays; a scalar becomes 0-d, so it takes the
     same ufunc loops as a row of a batch."""
@@ -100,17 +96,12 @@ def _coefficient_arrays(*p) -> list[np.ndarray]:
 
 
 def _symbol_columns(sym: DispersionSymbol, k) -> tuple[np.ndarray, ...]:
-    """(k, m(k), m'(k), m''(k), m(2k)) as 1-d arrays over the grid.
-
-    The values come from the scalar jet one k at a time, so every pencil
-    entry is the same float a one-k build gives.
-    """
-    ks = np.atleast_1d(np.asarray(k))
+    """(k, m(k), m'(k), m''(k), m(2k)) as 1-d arrays over the grid, from one
+    array call of the jet; a one-k build is the same code on one element."""
+    ks = np.atleast_1d(np.asarray(k, dtype=float))
     if np.any(ks <= 0):
         raise ValueError("k must be positive")
-    vals = [(*jet_m(sym, kk), eval_m(sym, 2 * kk)) for kk in ks.tolist()]
-    m, mp, mpp, m2 = np.array(vals, dtype=float).reshape(-1, 4).T
-    return ks, m, mp, mpp, m2
+    return ks, *jet_m(sym, ks), eval_m(sym, 2 * ks)
 
 
 def _check_resonance(ks: np.ndarray, resonant: np.ndarray) -> None:
@@ -284,7 +275,7 @@ def disc_cubic(poly: RescaledCharPoly):
     if poly.degree != 3:
         raise DegreeMismatch(f"expected degree 3, got {poly.degree}")
     d0, d1, d2, d3 = (poly.d[..., i] for i in range(4))
-    return _unbox(
+    return unbox(
         18.0 * d3 * d2 * d1 * d0
         + d2 * d2 * d1 * d1
         + 4.0 * d2**3 * d0
@@ -306,7 +297,7 @@ def _quartic_standard(poly: RescaledCharPoly) -> list[np.ndarray]:
 def quartic_disc(p4, p3, p2, p1, p0):
     """Discriminant of p4 x^4 + p3 x^3 + p2 x^2 + p1 x + p0 (elementwise)."""
     p4, p3, p2, p1, p0 = _coefficient_arrays(p4, p3, p2, p1, p0)
-    return _unbox(
+    return unbox(
         256 * p4**3 * p0**3
         - 192 * p4**2 * p3 * p1 * p0**2
         - 128 * p4**2 * p2**2 * p0**2
@@ -329,13 +320,13 @@ def quartic_disc(p4, p3, p2, p1, p0):
 def quartic_disc1(p4, p3, p2, p1, p0):
     """8 p4 p2 - 3 p3^2."""
     p4, p3, p2, p1, p0 = _coefficient_arrays(p4, p3, p2, p1, p0)
-    return _unbox(8.0 * p4 * p2 - 3.0 * p3 * p3)
+    return unbox(8.0 * p4 * p2 - 3.0 * p3 * p3)
 
 
 def quartic_disc2(p4, p3, p2, p1, p0):
     """64 p4^3 p0 - 16 p4^2 p2^2 + 16 p4 p3^2 p2 - 16 p4^2 p3 p1 - 3 p3^4."""
     p4, p3, p2, p1, p0 = _coefficient_arrays(p4, p3, p2, p1, p0)
-    return _unbox(
+    return unbox(
         64.0 * p4**3 * p0
         - 16.0 * p4**2 * p2**2
         + 16.0 * p4 * p3**2 * p2
@@ -379,7 +370,7 @@ def default_disc_tolerance(coeffs, power: int = 4):
     """1e-12 times the coefficient scale raised to the stated power.
     ``coeffs`` holds one polynomial per row of its last axis."""
     scale = np.fmax(1e-300, np.max(np.abs(np.asarray(coeffs, dtype=float)), axis=-1))
-    return _unbox(1e-12 * scale**power)
+    return unbox(1e-12 * scale**power)
 
 
 #: QuarticClass by the codes classify_quartic computes
@@ -449,32 +440,31 @@ class PencilVerdict(enum.Enum):
 def pencil_verdicts(
     kind: EquationKind,
     sym: DispersionSymbol,
-    reports: list[IndexReport],
+    report: IndexReport,
     xi: float = 1e-2,
     a: float = 1e-2,
 ) -> list[PencilVerdict]:
-    """pencil_verdict at the k of every index report of a grid.
+    """pencil_verdict at every k of an index report over a k-array.
 
     The k whose index is not degenerate go through one stacked pencil
     build, rescaled charpoly and classification.
     """
-    verdicts = [PencilVerdict.DEGENERATE] * len(reports)
-    live = [i for i, r in enumerate(reports) if r.verdict is not Verdict.DEGENERATE]
-    if not live:
-        return verdicts
-    poly = rescaled_charpoly(build_pencil(kind, sym, np.array([reports[i].k for i in live]), xi, a))
-    if kind is EquationKind.BBM:
-        disc = disc_cubic(poly)
-        degenerate = np.abs(disc) <= default_disc_tolerance(poly.d)
-        unstable = disc < 0
-    else:
-        category = classify_rescaled(poly).category
-        degenerate = category == QuarticClass.DEGENERATE
-        unstable = category != QuarticClass.FOUR_REAL
-    for i, deg, unst in zip(live, degenerate.tolist(), unstable.tolist()):
-        if not deg:
-            verdicts[i] = PencilVerdict.UNSTABLE if unst else PencilVerdict.STABLE
-    return verdicts
+    live = report.verdict != Verdict.DEGENERATE
+    verdicts = np.full(live.shape, PencilVerdict.DEGENERATE, dtype=object)
+    if np.any(live):
+        poly = rescaled_charpoly(build_pencil(kind, sym, report.k[live], xi, a))
+        if kind is EquationKind.BBM:
+            disc = disc_cubic(poly)
+            degenerate = np.abs(disc) <= default_disc_tolerance(poly.d)
+            unstable = disc < 0
+        else:
+            category = classify_rescaled(poly).category
+            degenerate = category == QuarticClass.DEGENERATE
+            unstable = category != QuarticClass.FOUR_REAL
+        verdicts[live] = np.select([degenerate, unstable],
+                                   [PencilVerdict.DEGENERATE, PencilVerdict.UNSTABLE],
+                                   PencilVerdict.STABLE)
+    return verdicts.tolist()
 
 
 def pencil_verdict(
@@ -492,4 +482,4 @@ def pencil_verdict(
     pairs: unstable).  A degenerate index (threshold wave number) is
     reported as Degenerate without consulting the discriminant.
     """
-    return pencil_verdicts(kind, sym, [ind(kind, sym, k)], xi, a)[0]
+    return pencil_verdicts(kind, sym, ind(kind, sym, np.array([k])), xi, a)[0]

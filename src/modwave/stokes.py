@@ -242,7 +242,7 @@ def newton_wave(
         raise ValueError("max_iter must be >= 0")
     exp = expansion_for(kind, sym, k, a)
     n = n_modes + 1
-    mvals = np.array([eval_m(sym, k * j) for j in range(n)])
+    mvals = eval_m(sym, k * np.arange(n))
     pin = _pin_value(kind, sym, k, a)
     ident = np.eye(n)
     bidirectional = kind is EquationKind.BOUSSINESQ

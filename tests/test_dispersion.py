@@ -102,6 +102,48 @@ def test_fractional_derivative_singularities(frac2, frac3):
     assert jet_m(frac3, 0.0) == (1.0, 0.0, 0.0)
 
 
+def test_builtin_jets_round_like_python_floats(bbm, boussinesq, frac3):
+    # every ** of a built-in is np.float_power, which rounds like Python's **
+    ks = property_rng().uniform(0.01, 30.0, 200)
+    for sym, scalar in (
+        (bbm, lambda k: (1 / (1 + k * k), -2 * k / (1 + k * k) ** 2,
+                         (6 * k * k - 2) / (1 + k * k) ** 3)),
+        (boussinesq, lambda k: ((1 + k * k) ** -0.5, -k * (1 + k * k) ** -1.5,
+                                (2 * k * k - 1) * (1 + k * k) ** -2.5)),
+        (frac3, lambda k: (1 + k**3.0, 3.0 * k**2.0, 6.0 * k**1.0)),
+    ):
+        got = np.array(jet_m(sym, ks))
+        assert np.array_equal(got, np.array([scalar(k) for k in ks.tolist()]).T), sym.name
+
+
+def test_array_calls_match_zero_d_calls(bbm, boussinesq, whitham, frac3):
+    # a scalar is a 0-d call of the same code, so an array call agrees with
+    # it bit for bit, at both signs of k and inside the small-k branches
+    ks = np.concatenate([np.geomspace(1e-7, 25.0, 60), [0.5, 3.0]])
+    texts = ["(1+k^2)^(-0.5)", "sqrt(tanh(abs(k))/abs(k))", "1+abs(k)^2.7", "pow(2 + cos(k), k)",
+             "k * exp(k) + 1", "(1 + k) / (2 + k^2)"]
+    for sym in [bbm, boussinesq, whitham, frac3, fractional_symbol(2.5)] + list(map(parse_symbol, texts)):
+        cols = jet_m(sym, ks)
+        rows = np.array([jet_m(sym, k) for k in ks.tolist()]).T
+        assert all(np.array_equal(c, r) for c, r in zip(cols, rows)), sym.name
+        for k in (ks, -ks):
+            assert np.array_equal(eval_m(sym, k), [eval_m(sym, x) for x in k.tolist()]), sym.name
+        assert isinstance(eval_m(sym, 1.0), float) and isinstance(jet_m(sym, 1.0)[1], float)
+
+
+def test_array_calls_name_the_first_bad_k():
+    shifted = parse_symbol("1+(k-1)^1.5")
+    with pytest.raises(NonFinite, match=r"not finite at k=0\.5$"):
+        eval_m(shifted, np.array([2.0, 0.5, 0.25]))
+    rough = builtin_symbol("fractional", alpha=1.0)
+    with pytest.raises(NonFinite, match=r"^jet of fractional\(alpha=1\) at k=-0\.0 "):
+        jet_m(rough, np.array([1.0, -0.0, 0.0]))
+    # the removable singularity of an expression is filled inside an array too
+    parsed = parse_symbol("sqrt(tanh(abs(k))/abs(k))")
+    m, m1, m2 = jet_m(parsed, np.array([1.0, 0.0, 2.0]))
+    assert m[1] == jet_m(parsed, 0.0)[0] and m[0] == eval_m(parsed, 1.0)
+
+
 def test_fractional_raw_is_even():
     for alpha in (2.5, 3.0):
         sym = fractional_symbol(alpha)

@@ -154,6 +154,29 @@ def test_critical_wavenumber_none(boussinesq):
     assert critical_wavenumber(EquationKind.BOUSSINESQ, boussinesq, (0.1, 10.0)) is None
 
 
+@pytest.mark.parametrize("kind", list(EquationKind), ids=lambda kind: kind.value)
+def test_critical_wavenumber_skips_poles(kind):
+    # m(k) = m(2k) near k = 0.4429, so i3- changes sign there and the index
+    # quotient jumps from -inf to +inf: a pole, not a stability threshold
+    sym = parse_symbol("1+k^2*(k^2-1)*(k^2-9)")
+    below, above = (ind(kind, sym, k) for k in (0.44, 0.45))
+    assert below.ind * above.ind < 0 and below.i3m * above.i3m < 0
+    assert critical_wavenumber(kind, sym, (0.40, 0.50)) is None
+
+
+@pytest.mark.parametrize("kind", list(EquationKind), ids=lambda kind: kind.value)
+def test_ind_columns_match_one_k_reports(kind, bbm, frac3):
+    ks = np.append(np.linspace(0.05, 3.0, 120), math.sqrt(3.0))
+    for sym in (bbm, frac3, fractional_symbol(1.0)):
+        report = ind(kind, sym, ks)
+        assert report.verdict.shape == report.resonance_flags.shape == ks.shape
+        for i, k in enumerate(ks.tolist()):
+            one = ind(kind, sym, k)
+            assert report[i] == one
+            assert isinstance(one.ind, float) and isinstance(one.verdict, Verdict)
+        assert base_indices(sym, ks)[0].tolist() == [base_indices(sym, k)[0] for k in ks.tolist()]
+
+
 def test_equation_index_dispatch(bbm):
     assert equation_index(EquationKind.KDV, bbm, 1.0) == i_kdv(bbm, 1.0)
     assert equation_index(EquationKind.BBM, bbm, 1.0) == i_bbm(bbm, 1.0)

@@ -8,13 +8,14 @@ from modwave.errors import LeadingZero, NoBracket, NoConvergence
 from modwave.indices import ind
 from modwave.numerics import (
     Bracket,
-    cluster_roots,
     cos_product,
     cos_product_matrix,
     cos_square,
     cos_to_full,
     eig_dense,
     find_root,
+    linear_grid,
+    scan_roots,
     full_to_cos,
     poly_roots,
     property_rng,
@@ -81,10 +82,26 @@ def test_poly_roots_leading_zero():
         poly_roots([0.0, 1.0, 2.0])
 
 
-def test_cluster_roots():
-    clusters = cluster_roots(np.array([1.0, 1.0 + 1e-10, 2.0]), tol=1e-8)
-    mults = sorted(m for _, m in clusters)
-    assert mults == [1, 2]
+def test_scan_roots():
+    grid = np.linspace(0.1, 4.0, 40)
+    vals, roots = scan_roots(np.sin, grid)
+    assert np.array_equal(vals, np.sin(grid))
+    assert roots == [pytest.approx(math.pi, abs=1e-12)]
+    # tan changes sign at its pole pi/2 and at its root pi; cos marks the pole
+    assert len(scan_roots(np.tan, grid)[1]) == 2
+    assert scan_roots(np.tan, grid, poles=np.cos)[1] == [pytest.approx(math.pi, abs=1e-12)]
+    # a sample that is a root counts only with zero_tol, and ends no bracket
+    line = np.linspace(0.0, 2.0, 5)
+    assert scan_roots(lambda x: x - 1.0, line)[1] == []
+    assert scan_roots(lambda x: x - 1.0, line, zero_tol=0.0)[1] == [1.0]
+    assert scan_roots(lambda x: x - 1.0 + 1e-15, line, zero_tol=1e-14)[1] == [1.0]
+
+
+def test_linear_grid_matches_the_stepwise_loop():
+    lo, hi, n = 0.1, 3.0, 2001
+    step = (hi - lo) / (n - 1)
+    assert linear_grid(lo, hi, n).tolist() == [lo + i * step for i in range(n)]
+    assert linear_grid(0.5, 0.5, 1).tolist() == [0.5]
 
 
 def test_eig_dense_diagonal():

@@ -158,6 +158,20 @@ def test_classifier_agrees_with_root_oracle():
     assert checked > 1500
 
 
+def test_stacked_root_oracle_matches_one_at_a_time():
+    from modwave.validation import _root_classification
+
+    coeffs = property_rng().normal(0.0, 1.0, size=(2000, 5))
+    coeffs[np.abs(coeffs[:, 0]) < 1e-3, 0] = 1.0
+    expected = []
+    for row in coeffs:
+        roots = poly_roots(row)
+        n_real = int(np.sum(np.abs(roots.imag) <= 1e-7 * (1.0 + np.abs(roots))))
+        expected.append(QuarticClass.FOUR_REAL if n_real == 4 else
+                        QuarticClass.TWO_REAL_ONE_PAIR if n_real == 2 else QuarticClass.TWO_PAIRS)
+    assert _root_classification(coeffs).tolist() == expected
+
+
 def test_rescaled_requires_positive_xi(bbm):
     with pytest.raises(NotRescalable):
         rescaled_charpoly(build_bbm_pencil(bbm, 1.0, 0.0, 0.01))
@@ -284,9 +298,8 @@ def test_stacked_pencils_match_one_k(bbm, boussinesq, frac3):
 
 
 def test_pencil_verdicts_grid(bbm):
-    ks = [1.0, math.sqrt(3.0), 2.0]
-    reports = [ind(EquationKind.BBM, bbm, k) for k in ks]
-    assert pencil_verdicts(EquationKind.BBM, bbm, reports) == [
+    report = ind(EquationKind.BBM, bbm, np.array([1.0, math.sqrt(3.0), 2.0]))
+    assert pencil_verdicts(EquationKind.BBM, bbm, report) == [
         PencilVerdict.STABLE, PencilVerdict.DEGENERATE, PencilVerdict.UNSTABLE,
     ]
 
@@ -297,8 +310,7 @@ def test_pencil_verdicts_names_first_resonant_k():
     # m(k) = 1 at k = 1 and k = 3, where the 4x4 pencil is resonant while
     # the index stays finite
     sym = parse_symbol("1 + k^2*(k^2-1)*(k^2-9)")
-    ks = [0.5, 3.0, 2.0, 1.0]
-    reports = [ind(EquationKind.BOUSSINESQ, sym, k) for k in ks]
-    assert all(r.verdict is not Verdict.DEGENERATE for r in reports)
+    report = ind(EquationKind.BOUSSINESQ, sym, np.array([0.5, 3.0, 2.0, 1.0]))
+    assert not np.any(report.verdict == Verdict.DEGENERATE)
     with pytest.raises(DegenerateResonance, match=r"^resonant denominators at k=3\.0$"):
-        pencil_verdicts(EquationKind.BOUSSINESQ, sym, reports)
+        pencil_verdicts(EquationKind.BOUSSINESQ, sym, report)
