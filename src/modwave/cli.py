@@ -294,13 +294,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
-        overrides = {}
-        for key in _OVERRIDE_KEYS:
-            if hasattr(args, key):
-                val = getattr(args, key)
-                if val is not None and key in ("k_range", "xi_range", "alpha_range"):
-                    val = tuple(val)
-                overrides[key] = val
+        overrides = {key: getattr(args, key) for key in _OVERRIDE_KEYS if hasattr(args, key)}
         cfg = merge_overrides(cfg, overrides)
         return args.fn(cfg, args)
     except ModwaveError as exc:

@@ -554,11 +554,12 @@ def check_assumptions(
         m3_ok = bool(np.max(np.abs(resid)) <= 0.15)
 
     # (M4): second and higher harmonic resonances
+    m_grid = eval_m(sym, grid)
     violations = [
         (root, n)
         for n in range(2, n_max + 1)
         for root in scan_roots(lambda k, n=n: eval_m(sym, k) - eval_m(sym, n * k), grid,
-                               tol=1e-12, zero_tol=1e-14)[1]
+                               m_grid - eval_m(sym, n * grid), tol=1e-12, zero_tol=1e-14)
     ]
     m4_ok = not violations
 

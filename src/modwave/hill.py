@@ -7,9 +7,10 @@ discretized in the Fourier basis over a symmetric mode window -N..N
 to a dense eigensolver.  One assembly serves all three equation kinds:
 each kind supplies a real core matrix (one block for the scalar kinds,
 2 x 2 blocks for the bidirectional system) that is scaled row by row by
-i(n+xi).  The module also tracks eigenvalue collisions of the
-flat-state frequencies and cross-validates the reduced pencils against
-the discrete spectra.
+i(n+xi).  Every eigensolve of a Bloch matrix goes through `spectrum`.
+The module also tracks eigenvalue collisions of the flat-state
+frequencies, sampled as one (branch x xi) table per wave number, and
+cross-validates the reduced pencils against the discrete spectra.
 """
 
 from __future__ import annotations
@@ -116,10 +117,11 @@ def spectrum(op: BlochOperator, sym: DispersionSymbol | None = None) -> Spectrum
     )
 
 
-def zero_multiplicity(op: BlochOperator, radius: float = 1e-8) -> int:
-    """Number of eigenvalues within the given modulus of the origin."""
-    vals = eig_dense(op.matrix)
-    return int(np.sum(np.abs(vals) <= radius))
+def zero_multiplicity(op: BlochOperator | SpectrumSlice, radius: float = 1e-8) -> int:
+    """Number of eigenvalues within the given modulus of the origin, of an
+    operator or of its spectrum already computed."""
+    sl = op if isinstance(op, SpectrumSlice) else spectrum(op)
+    return int(np.sum(np.abs(sl.eigenvalues) <= radius))
 
 
 # ---------------------------------------------------------------------------
@@ -127,15 +129,10 @@ def zero_multiplicity(op: BlochOperator, radius: float = 1e-8) -> int:
 # ---------------------------------------------------------------------------
 
 
-def omega_scalar(sym: DispersionSymbol, k: float, n: int, xi):
-    """Flat-state frequency (xi+n)(m(k) - m(k(xi+n))) of the scalar family,
-    elementwise over an array of xi."""
-    return (xi + n) * (eval_m(sym, k) - eval_m(sym, k * (xi + n)))
-
-
-def omega_pm(sym: DispersionSymbol, k: float, n: int, xi, branch: int):
-    """Flat-state frequency (xi+n)(m(k) +/- m(k(xi+n))) of the two branches,
-    elementwise over an array of xi."""
+def omega(sym: DispersionSymbol, k: float, n, xi, branch=-1):
+    """Flat-state frequency (xi+n)(m(k) + branch m(k(xi+n))), elementwise
+    over arrays of n, xi and branch: branch -1 is the scalar family's
+    frequency, +1 and -1 the two branches of the bidirectional system."""
     return (xi + n) * (eval_m(sym, k) + branch * eval_m(sym, k * (xi + n)))
 
 
@@ -146,22 +143,6 @@ class CollisionPoint:
     n2: int
     branch1: int = -1  # +1/-1 for the bidirectional branches; -1 for scalar
     branch2: int = -1
-
-
-def _scan_pair(f, xi_grid) -> list[float]:
-    # transversal crossings via sign change; an exact zero is only accepted
-    # at the right endpoint xi = 1/2 (interior samples sit on the trivial
-    # common zero tail of all branches as xi -> 0)
-    vals, hits = scan_roots(f, xi_grid, tol=1e-12)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    if abs(vals[-1]) <= 1e-12 * scale:
-        hits.append(float(xi_grid[-1]))
-    hits.sort()
-    merged: list[float] = []
-    for x in hits:
-        if not merged or x - merged[-1] > 1e-9:
-            merged.append(x)
-    return merged
 
 
 def collision_scan(
@@ -176,35 +157,45 @@ def collision_scan(
 
     Scans every pair of mode indices from n_range (and both frequency
     branches for the bidirectional system) by sign-change bisection of
-    the difference; exact zeros at grid points count as collisions.
-    The trivial common zero of all branches at xi -> 0 is excluded by
-    starting the grid strictly inside the interval.
+    the difference.  The frequencies of every (mode, branch) that takes
+    part are sampled once, as one (branch x xi) table; a pair's samples
+    are the difference of two rows.  The BBM-type scan takes ``pairs`` in
+    the order and orientation given, the bidirectional one keeps the
+    branch combinations whose modes form one of ``pairs`` in either order.
+    An exact zero counts as a collision only at the right endpoint
+    xi = 1/2: the grid starts strictly inside the interval, and interior
+    samples sit on the trivial common zero tail of all branches as
+    xi -> 0.
     """
     ns = sorted(set(int(n) for n in n_range))
-    xi_grid = np.linspace(1e-6, 0.5, xi_steps)
-    found: list[CollisionPoint] = []
     if kind is EquationKind.BOUSSINESQ:
         branches = [(n, s) for n in ns for s in (+1, -1)]
-        wanted = pairs
-        for (n1, s1), (n2, s2) in itertools.combinations(branches, 2):
-            if wanted is not None and ((n1, n2) not in wanted and (n2, n1) not in wanted):
-                continue
-
-            def f(x, n1=n1, s1=s1, n2=n2, s2=s2):
-                return omega_pm(sym, k, n1, x, s1) - omega_pm(sym, k, n2, x, s2)
-
-            for x in _scan_pair(f, xi_grid):
-                found.append(CollisionPoint(x, n1, n2, s1, s2))
+        combos = [(b1, b2) for b1, b2 in itertools.combinations(branches, 2)
+                  if pairs is None or (b1[0], b2[0]) in pairs or (b2[0], b1[0]) in pairs]
     elif kind is EquationKind.BBM:
-        pair_list = pairs if pairs is not None else list(itertools.combinations(ns, 2))
-        for n1, n2 in pair_list:
-            def f(x, n1=n1, n2=n2):
-                return omega_scalar(sym, k, n1, x) - omega_scalar(sym, k, n2, x)
-
-            for x in _scan_pair(f, xi_grid):
-                found.append(CollisionPoint(x, n1, n2))
+        pair_list = pairs if pairs is not None else itertools.combinations(ns, 2)
+        combos = [((n1, -1), (n2, -1)) for n1, n2 in pair_list]
     else:
         raise UnsupportedKind("collision scan supports the BBM-type and bidirectional kinds")
+    if not combos:
+        return ()
+    rows = sorted({b for combo in combos for b in combo})
+    n_col, s_col = np.array(rows).T[:, :, None]
+    xi_grid = np.linspace(1e-6, 0.5, xi_steps)
+    table = omega(sym, k, n_col, xi_grid, s_col)
+    row = {b: i for i, b in enumerate(rows)}
+    found: list[CollisionPoint] = []
+    for (n1, s1), (n2, s2) in combos:
+        vals = table[row[n1, s1]] - table[row[n2, s2]]
+        hits = scan_roots(lambda x: omega(sym, k, n1, x, s1) - omega(sym, k, n2, x, s2),
+                          xi_grid, vals, tol=1e-12)
+        if abs(vals[-1]) <= 1e-12 * max(1.0, float(np.max(np.abs(vals)))):
+            hits.append(float(xi_grid[-1]))
+        merged: list[float] = []
+        for x in sorted(hits):
+            if not merged or x - merged[-1] > 1e-9:
+                merged.append(x)
+        found += [CollisionPoint(x, n1, n2, s1, s2) for x in merged]
     found.sort(key=lambda p: (p.xi, p.n1, p.n2))
     return tuple(found)
 
@@ -282,8 +273,7 @@ def match_pencil_once(
 ) -> float:
     """Max distance between near-origin Bloch eigenvalues and pencil roots."""
     wave = newton_wave(kind, sym, k, a, n_modes)
-    op = assemble(kind, sym, wave, xi, n_modes)
-    vals = eig_dense(op.matrix)
+    vals = spectrum(assemble(kind, sym, wave, xi, n_modes), sym).eigenvalues
     pencil = build_pencil(kind, sym, k, xi, a)
     proots = pencil.eigenvalues()
     count = proots.size
@@ -354,9 +344,7 @@ def growth_curve(
     wave2 = newton_wave(kind, sym, k, a, 2 * n_modes)
     out = []
     for xi in xi_grid:
-        op = assemble(kind, sym, wave, float(xi), n_modes)
-        re1 = float(eig_dense(op.matrix).real.max())
-        op2 = assemble(kind, sym, wave2, float(xi), 2 * n_modes)
-        re2 = float(eig_dense(op2.matrix).real.max())
+        re1 = spectrum(assemble(kind, sym, wave, float(xi), n_modes), sym).max_re
+        re2 = spectrum(assemble(kind, sym, wave2, float(xi), 2 * n_modes), sym).max_re
         out.append(GrowthPoint(float(xi), re1, abs(re1 - re2) <= refine_tol))
     return tuple(out)

@@ -196,14 +196,15 @@ def find_resonances(
     # (label, column of _columns): i1, i2-, [i2+], i3-, [i3+], i_eq
     both = kind is EquationKind.BOUSSINESQ
     quantities = [("R1", 0), ("R2", 1)] + [("R2", 2)] * both + [("R3", 3)] + [("R3", 4)] * both
+    columns = _columns(kind, sym, grid)
     points: list[ResonancePoint] = []
     degenerate: set[str] = set()
     for label, col in quantities + [("R4", 5)]:
-        vals, roots = scan_roots(lambda k, col=col: _columns(kind, sym, k)[col], grid,
-                                 tol=1e-10, zero_tol=0.0)
-        if np.max(np.abs(vals)) <= DEGENERACY_TOL:
+        if np.max(np.abs(columns[col])) <= DEGENERACY_TOL:
             degenerate.add(label)
             continue
+        roots = scan_roots(lambda k, col=col: _columns(kind, sym, k)[col], grid, columns[col],
+                           tol=1e-10, zero_tol=0.0)
         points += [ResonancePoint(root, label) for root in roots]
     points.sort(key=lambda p: (p.k, p.kind))
     return ResonanceScan(points=tuple(points), degenerate_everywhere=frozenset(degenerate))
@@ -224,8 +225,8 @@ def critical_wavenumber(
     k_lo, k_hi = k_range
     if not (0 < k_lo < k_hi):
         raise ValueError("need 0 < k_lo < k_hi")
-    _, roots = scan_roots(
-        lambda k: _columns(kind, sym, k)[6], np.linspace(k_lo, k_hi, samples),
-        tol=1e-12, zero_tol=0.0, poles=lambda k: _columns(kind, sym, k)[7],
-    )
+    grid = np.linspace(k_lo, k_hi, samples)
+    *_, value, denom = _columns(kind, sym, grid)
+    roots = scan_roots(lambda k: _columns(kind, sym, k)[6], grid, value,
+                       tol=1e-12, zero_tol=0.0, poles=denom)
     return roots[0] if roots else None

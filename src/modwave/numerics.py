@@ -1,9 +1,10 @@
 """Shared numerical kernels.
 
-Bracketed root finding, a sample-then-refine root scan over a grid, the
-evenly spaced grid itself, companion-matrix polynomial roots, a dense
-eigensolver wrapper, and cosine-series helpers used by the wave solver
-and the Bloch operator assembly: conversion between cosine and full-line
+Bracketed root finding, a root scan that refines the sign changes of
+samples its caller took by one array call, the evenly spaced grid
+itself, companion-matrix polynomial roots, a dense eigensolver wrapper,
+and cosine-series helpers used by the wave solver and the Bloch
+operator assembly: conversion between cosine and full-line
 coefficients (padded to any mode window), products by convolution, and
 the closed-form Toeplitz-plus-Hankel multiplication table.  All routines
 are pure and deterministic; property tests draw samples from a
@@ -97,26 +98,26 @@ def find_root(f: Callable[[float], float], bracket: Bracket, tol: float = 1e-12)
 def scan_roots(
     f: Callable,
     grid: np.ndarray,
+    vals: np.ndarray,
     tol: float = 1e-12,
     zero_tol: float | None = None,
-    poles: Callable | None = None,
-) -> tuple[np.ndarray, list[float]]:
-    """Roots of f on a sample grid, in grid order, and the samples of f.
+    poles: np.ndarray | None = None,
+) -> list[float]:
+    """Roots of f on a sample grid, in grid order, from its samples vals = f(grid).
 
-    f is sampled once over the whole grid by an array call.  With
-    zero_tol set, a sample with |f| <= zero_tol is a root itself; every
-    other pair of neighbouring samples of opposite sign brackets a root,
-    refined by find_root through 0-d calls of f.  A bracket across which
-    ``poles`` (sampled on the same grid) also changes sign holds a pole of
-    f, not a root, and is skipped.
+    The caller samples f (and the denominator ``poles``, if any) once over
+    the whole grid by an array call.  With zero_tol set, a sample with
+    |f| <= zero_tol is a root itself; every other pair of neighbouring
+    samples of opposite sign brackets a root, refined by find_root through
+    0-d calls of f.  A bracket across which ``poles`` also changes sign
+    holds a pole of f, not a root, and is skipped.
     """
     grid = np.asarray(grid, dtype=float)
-    vals = np.asarray(f(grid), dtype=float)
+    vals = np.asarray(vals, dtype=float)
     zero = np.zeros(grid.size, dtype=bool) if zero_tol is None else np.abs(vals) <= zero_tol
     cross = (vals[:-1] * vals[1:] < 0.0) & ~zero[:-1] & ~zero[1:]
     if poles is not None:
-        p = np.asarray(poles(grid), dtype=float)
-        cross &= ~(p[:-1] * p[1:] < 0.0)
+        cross &= ~(poles[:-1] * poles[1:] < 0.0)
     roots = []
     for i in np.flatnonzero(zero | np.append(cross, False)).tolist():
         if zero[i]:
@@ -124,7 +125,7 @@ def scan_roots(
         else:
             bracket = Bracket(float(grid[i]), float(grid[i + 1]), float(vals[i]), float(vals[i + 1]))
             roots.append(find_root(lambda x: float(f(x)), bracket, tol))
-    return vals, roots
+    return roots
 
 
 def linear_grid(lo: float, hi: float, steps: int) -> np.ndarray:

@@ -90,10 +90,6 @@ class StokesExpansion:
             out[2] = a * a * self.q2_cos2
         return out
 
-    def u_profile(self, z: np.ndarray) -> np.ndarray:
-        coeffs = self.u_cosines(2)
-        return coeffs[0] + coeffs[1] * np.cos(z) + coeffs[2] * np.cos(2 * z)
-
 
 def _check_unidirectional_denominators(mk: float, m2k: float) -> None:
     if abs(mk - 1.0) <= RESONANCE_TOL:
@@ -204,10 +200,6 @@ class WaveSolution:
     residual: float
     q_hat: np.ndarray | None = None
     iterations: int = 0
-
-    def u_profile(self, z: np.ndarray) -> np.ndarray:
-        modes = np.arange(self.n_modes + 1)
-        return np.cos(np.outer(z, modes)) @ self.u_hat
 
 
 def _pin_value(kind: EquationKind, sym: DispersionSymbol, k: float, a: float) -> float:

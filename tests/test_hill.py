@@ -11,8 +11,7 @@ from modwave.hill import (
     collision_scan,
     growth_curve,
     min_collision_k,
-    omega_pm,
-    omega_scalar,
+    omega,
     spectrum,
     validate_pencil,
     zero_multiplicity,
@@ -28,7 +27,7 @@ def test_bbm_flat_state_diagonal(bbm):
     k, xi, n = 1.0, 0.3, 16
     op = assemble(EquationKind.BBM, bbm, _flat(EquationKind.BBM, bbm, k, n), xi, n)
     diag = np.diag(op.matrix)
-    expected = np.array([1j * omega_scalar(bbm, k, m, xi) for m in range(-n, n + 1)])
+    expected = np.array([1j * omega(bbm, k, m, xi) for m in range(-n, n + 1)])
     assert_allclose(diag, expected, atol=1e-14)
     off = op.matrix - np.diag(diag)
     assert_allclose(off, 0.0, atol=1e-15)
@@ -58,8 +57,8 @@ def test_bnesq_flat_state_eigenvalues(boussinesq):
     assert np.max(np.abs(got.real)) <= 1e-12
     expected = []
     for m in range(-n, n + 1):
-        expected.append(omega_pm(boussinesq, k, m, xi, +1))
-        expected.append(omega_pm(boussinesq, k, m, xi, -1))
+        expected.append(omega(boussinesq, k, m, xi, +1))
+        expected.append(omega(boussinesq, k, m, xi, -1))
     assert_allclose(np.sort(got.imag), np.sort(np.array(expected)), atol=1e-10)
 
 
@@ -170,6 +169,38 @@ def test_min_collision_k(bbm):
     assert measured == pytest.approx(2.0, abs=1e-8)
     # every collision in the family sits above the analytic floor
     assert measured >= 2.0 * math.sqrt(3.0 / 5.0)
+
+
+@pytest.mark.parametrize("k, xi, modes", [
+    (0.5, 0.2864, (0, 2, +1, -1)),
+    (1.0, 0.4482, (-3, -1, -1, +1)),
+    (2.0, 0.3196, (-3, -1, -1, +1)),
+    (3.0, 0.2915, (-3, -1, -1, +1)),
+])
+def test_boussinesq_first_flat_state_collision(boussinesq, k, xi, modes):
+    first = collision_scan(EquationKind.BOUSSINESQ, boussinesq, k, range(-4, 4))[0]
+    assert first.xi == pytest.approx(xi, abs=1e-4)
+    assert (first.n1, first.n2, first.branch1, first.branch2) == modes
+
+
+def test_collision_scan_bbm_pairs_keep_their_orientation(bbm):
+    given = collision_scan(EquationKind.BBM, bbm, 2.5, range(-4, 3), pairs=[(0, -2)])
+    assert [(p.n1, p.n2) for p in given] == [(0, -2)]
+    default = collision_scan(EquationKind.BBM, bbm, 2.5, range(-4, 3))
+    assert [(p.xi, p.n2, p.n1) for p in default] == [(p.xi, p.n1, p.n2) for p in given]
+
+
+def test_collision_scan_boussinesq_pairs_in_either_order(boussinesq):
+    scan = collision_scan(EquationKind.BOUSSINESQ, boussinesq, 0.5, range(-4, 4), pairs=[(2, 0)])
+    assert scan == collision_scan(EquationKind.BOUSSINESQ, boussinesq, 0.5, range(-4, 4),
+                                  pairs=[(0, 2)])
+    assert [(p.n1, p.n2, p.branch1, p.branch2) for p in scan] == [(0, 2, +1, -1)]
+
+
+@pytest.mark.parametrize("kind", [EquationKind.BBM, EquationKind.BOUSSINESQ],
+                         ids=lambda kind: kind.value)
+def test_collision_scan_one_mode(kind, boussinesq):
+    assert collision_scan(kind, boussinesq, 1.0, [0]) == ()
 
 
 def test_collision_scan_kdv_unsupported(bbm):

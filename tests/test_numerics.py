@@ -84,17 +84,29 @@ def test_poly_roots_leading_zero():
 
 def test_scan_roots():
     grid = np.linspace(0.1, 4.0, 40)
-    vals, roots = scan_roots(np.sin, grid)
-    assert np.array_equal(vals, np.sin(grid))
-    assert roots == [pytest.approx(math.pi, abs=1e-12)]
+    assert scan_roots(np.sin, grid, np.sin(grid)) == [pytest.approx(math.pi, abs=1e-12)]
     # tan changes sign at its pole pi/2 and at its root pi; cos marks the pole
-    assert len(scan_roots(np.tan, grid)[1]) == 2
-    assert scan_roots(np.tan, grid, poles=np.cos)[1] == [pytest.approx(math.pi, abs=1e-12)]
+    assert len(scan_roots(np.tan, grid, np.tan(grid))) == 2
+    assert scan_roots(np.tan, grid, np.tan(grid), poles=np.cos(grid)) == [
+        pytest.approx(math.pi, abs=1e-12)]
     # a sample that is a root counts only with zero_tol, and ends no bracket
     line = np.linspace(0.0, 2.0, 5)
-    assert scan_roots(lambda x: x - 1.0, line)[1] == []
-    assert scan_roots(lambda x: x - 1.0, line, zero_tol=0.0)[1] == [1.0]
-    assert scan_roots(lambda x: x - 1.0 + 1e-15, line, zero_tol=1e-14)[1] == [1.0]
+
+    def f(x):
+        return x - 1.0
+
+    assert scan_roots(f, line, f(line)) == []
+    assert scan_roots(f, line, f(line), zero_tol=0.0) == [1.0]
+
+    def g(x):
+        return x - 1.0 + 1e-15
+
+    assert scan_roots(g, line, g(line), zero_tol=1e-14) == [1.0]
+    # the samples are the caller's: f itself is only called to refine brackets
+    calls = []
+    assert scan_roots(lambda x: calls.append(x) or np.sin(x), grid, np.sin(grid)) == [
+        pytest.approx(math.pi, abs=1e-12)]
+    assert calls and all(np.ndim(x) == 0 for x in calls)
 
 
 def test_linear_grid_matches_the_stepwise_loop():
