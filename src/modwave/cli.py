@@ -133,8 +133,8 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     slices = [one(xi) for xi in xis]
     rows = []
     for sl in slices:
-        for val in sl.eigenvalues:
-            rows.append((sl.xi, float(val.real), float(val.imag)))
+        vals = sl.eigenvalues
+        rows += zip([sl.xi] * vals.size, vals.real.tolist(), vals.imag.tolist())
     preamble = [
         f"equation={kind.value} symbol={sym.name} k={k!r} a={cfg.a!r} "
         f"n_modes={cfg.n_modes} c={wave.c!r} residual={wave.residual!r}"

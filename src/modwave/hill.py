@@ -5,9 +5,11 @@ operators indexed by the Floquet exponent xi in [0, 1/2]; each is
 discretized in the Fourier basis over a symmetric mode window -N..N
 (Hill's method; Deconinck & Kutz, J. Comput. Phys. 219, 2006) and handed
 to a dense eigensolver.  One assembly serves all three equation kinds:
-each kind supplies a real core matrix (one block for the scalar kinds,
-2 x 2 blocks for the bidirectional system) that is scaled row by row by
-i(n+xi).  Every eigensolve of a Bloch matrix goes through `spectrum`.
+each kind supplies a real core matrix (one entry per mode pair for the
+scalar kinds, a 2 x 2 block per mode pair for the bidirectional system,
+whose unknowns are ordered u_n, q_n per mode) that is scaled row by row
+by n+xi.  The Bloch matrix is i times that real matrix R, so every
+eigensolve, which goes through `spectrum`, is a real one of R.
 The module also tracks eigenvalue collisions of the flat-state
 frequencies, sampled as one (branch x xi) table per wave number, and
 cross-validates the reduced pencils against the discrete spectra.
@@ -22,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import DispersionSymbol, eval_m, group_speed
-from .errors import MatchFailure, TruncationTooSmall, UnsupportedKind
-from .numerics import cos_to_full, eig_dense, scan_roots
+from .errors import EigenFailure, MatchFailure, TruncationTooSmall, UnsupportedKind
+from .numerics import cos_to_full, scan_roots
 from .pencil import build_pencil
 from .stokes import EquationKind, WaveSolution, newton_wave
 
@@ -38,8 +40,13 @@ class BlochOperator:
     xi: float
     a: float
     n_modes: int
-    matrix: np.ndarray
+    real: np.ndarray  # R = M/i
     wave: WaveSolution
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The complex Bloch matrix M = i R."""
+        return 1j * self.real
 
 
 @dataclass(frozen=True)
@@ -59,12 +66,14 @@ def assemble(
 ) -> BlochOperator:
     """Bloch matrix of the linearization about the wave at Floquet exponent xi.
 
-    Every kind is i(n+xi) times a real core, row by row.  Row n, column m
-    (n, m in -N..N, w = full wave coefficients, s = n+xi):
+    Every kind is i(n+xi) times a real core, row by row; the operator
+    stores the real matrix R = M/i.  Row n, column m (n, m in -N..N,
+    w = full wave coefficients, s = n+xi):
     BBM:  c d_nm - m(ks) (d_nm + 2 w_{n-m}),
     KdV:  (m(ks) - c) d_nm + 2 w_{n-m},
-    bidirectional (u over q blocks):  [[c d_nm, m^2(ks) d_nm],
-    [d_nm + 2 w_{n-m}, c d_nm]], both block rows scaled by i(n+xi).
+    bidirectional, unknowns (u_n, q_n) interleaved per mode, a 2 x 2
+    block per mode pair:  [[c d_nm, m^2(ks) d_nm], [d_nm + 2 w_{n-m}, c d_nm]],
+    both rows of the block scaled by n+xi.
     """
     if wave.kind is not kind:
         raise ValueError(f"wave solves {wave.kind}, requested {kind}")
@@ -83,18 +92,18 @@ def assemble(
     w = cos_to_full(wave.u_hat, 2 * n_modes)
     conv = 2.0 * w[np.subtract.outer(modes, modes) + 2 * n_modes]
     if kind is EquationKind.BBM:
-        core = c * eye - mvals[:, None] * (eye + conv)
+        real = shifted[:, None] * (c * eye - mvals[:, None] * (eye + conv))
     elif kind is EquationKind.KDV:
-        core = (mvals - c)[:, None] * eye + conv
+        real = shifted[:, None] * ((mvals - c)[:, None] * eye + conv)
     else:
-        core = np.empty((2 * dim, 2 * dim))  # filled in place: np.block is slower
-        core[:dim, :dim] = core[dim:, dim:] = c * eye
+        real = np.zeros((2 * dim, 2 * dim))  # filled in place: no permuted copy
+        blocks = real.reshape(dim, 2, dim, 2)  # [n, u/q row, m, u/q column]
+        blocks[:, 1, :, 0] = shifted[:, None] * (eye + conv)
+        diag = np.arange(dim)
+        blocks[diag, 0, diag, 0] = blocks[diag, 1, diag, 1] = shifted * c
         # float_power rounds like the scalar m(ks)**2; numpy's x**2 is x*x
-        core[:dim, dim:] = np.float_power(mvals, 2)[:, None] * eye
-        core[dim:, :dim] = eye + conv
-        shifted = np.tile(shifted, 2)
-    matrix = 1j * shifted[:, None] * core
-    return BlochOperator(kind, k, xi, wave.a, n_modes, matrix, wave)
+        blocks[diag, 0, diag, 1] = shifted * np.float_power(mvals, 2)
+    return BlochOperator(kind, k, xi, wave.a, n_modes, real, wave)
 
 
 def near_origin_radius(sym: DispersionSymbol, k: float, xi: float) -> float:
@@ -104,8 +113,22 @@ def near_origin_radius(sym: DispersionSymbol, k: float, xi: float) -> float:
 
 
 def spectrum(op: BlochOperator, sym: DispersionSymbol | None = None) -> SpectrumSlice:
-    """Full spectrum of the truncated operator, sorted by (Re, Im)."""
-    vals = eig_dense(op.matrix)
+    """Full spectrum of the truncated operator, sorted by (Re, Im).
+
+    The eigenvalues mu of the real matrix R map to lambda = i mu.  A real
+    mu, the neutrally stable case, gives Re lambda = +0.0 exactly, so a
+    stable slice is ordered by Im alone.  R is solved in a graded row
+    order, largest |n+xi| first (a similarity by permutation): LAPACK's
+    nonsymmetric QR iteration finishes sooner on it.
+    """
+    scale = np.abs(np.arange(-op.n_modes, op.n_modes + 1) + op.xi)
+    rows = np.argsort(-np.repeat(scale, op.real.shape[0] // scale.size), kind="stable")
+    try:
+        mu = np.linalg.eigvals(op.real[np.ix_(rows, rows)])
+    except np.linalg.LinAlgError as exc:  # non-finite entries or a LAPACK failure
+        raise EigenFailure(str(exc)) from exc
+    vals = (0.0 - mu.imag) + 1j * mu.real
+    vals = vals[np.lexsort((vals.imag, vals.real))]
     vals = np.where(np.abs(vals) <= ZERO_SNAP, 0.0, vals)
     r0 = near_origin_radius(sym if sym is not None else op.wave.sym, op.k, op.xi)
     near = vals[np.abs(vals) <= r0]
@@ -159,8 +182,10 @@ def collision_scan(
     branches for the bidirectional system) by sign-change bisection of
     the difference.  The frequencies of every (mode, branch) that takes
     part are sampled once, as one (branch x xi) table; a pair's samples
-    are the difference of two rows.  The BBM-type scan takes ``pairs`` in
-    the order and orientation given, the bidirectional one keeps the
+    are the difference of two rows.  ``pairs`` holds (n1, n2) as tuples or
+    lists.  The BBM-type scan takes them in the order and orientation
+    given and rejects a mode paired with itself, whose frequency
+    difference vanishes identically; the bidirectional one keeps the
     branch combinations whose modes form one of ``pairs`` in either order.
     An exact zero counts as a collision only at the right endpoint
     xi = 1/2: the grid starts strictly inside the interval, and interior
@@ -168,13 +193,21 @@ def collision_scan(
     xi -> 0.
     """
     ns = sorted(set(int(n) for n in n_range))
+    if pairs is not None:
+        pairs = [(int(n1), int(n2)) for n1, n2 in pairs]
     if kind is EquationKind.BOUSSINESQ:
         branches = [(n, s) for n in ns for s in (+1, -1)]
+        # combinations of the sorted branches keep n1 <= n2
+        wanted = None if pairs is None else {tuple(sorted(p)) for p in pairs}
         combos = [(b1, b2) for b1, b2 in itertools.combinations(branches, 2)
-                  if pairs is None or (b1[0], b2[0]) in pairs or (b2[0], b1[0]) in pairs]
+                  if wanted is None or (b1[0], b2[0]) in wanted]
     elif kind is EquationKind.BBM:
-        pair_list = pairs if pairs is not None else itertools.combinations(ns, 2)
-        combos = [((n1, -1), (n2, -1)) for n1, n2 in pair_list]
+        if pairs is None:
+            pairs = list(itertools.combinations(ns, 2))
+        selfs = [p for p in pairs if p[0] == p[1]]
+        if selfs:
+            raise ValueError(f"mode pairs {selfs} pair a mode with itself")
+        combos = [((n1, -1), (n2, -1)) for n1, n2 in pairs]
     else:
         raise UnsupportedKind("collision scan supports the BBM-type and bidirectional kinds")
     if not combos:

@@ -19,11 +19,17 @@ def format_cell(value) -> str:
     return str(value)
 
 
+def _format_column(column: tuple) -> Iterable[str]:
+    if set(map(type, column)) == {float}:
+        return map(repr, column)  # format_cell's float branch, one call per cell
+    return map(format_cell, column)
+
+
 def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+    """Header and rows as CSV text, formatted column by column."""
+    columns = map(_format_column, zip(*rows))
+    lines = map(",".join, zip(*columns))
+    return "\n".join([",".join(header), *lines]) + "\n"
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence],

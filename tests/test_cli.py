@@ -308,3 +308,31 @@ def test_regime_warning(tmp_path, capsys):
     ]) == 0
     err = capsys.readouterr().err
     assert "asymptotic cap" in err
+
+
+def test_spectrum_rows_ordered_by_re_then_im(tmp_path):
+    # Whitham at k = 1.3 is modulationally unstable: the two smallest xi
+    # carry one growing pair each, the other three slices are neutrally
+    # stable.  Every other Re is +0.0 exactly, so rows follow Im within
+    # equal Re and round-off cannot reorder them.
+    args = ["spectrum", "--equation", "kdv", "--symbol", "whitham", "--k", "1.3",
+            "--a", "0.01", "--xi-range", "0.001", "0.05", "--xi-steps", "5",
+            "--n-modes", "32"]
+    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run(args + ["-o", str(out1)]) == 0
+    assert run(args + ["-o", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+    by_xi = {}
+    for line in read(out1).splitlines()[2:]:
+        xi, re, im = line.split(",")
+        assert re != "-0.0"
+        by_xi.setdefault(xi, []).append((float(re), float(im)))
+    assert len(by_xi) == 5
+    off_axis = []
+    for rows in by_xi.values():
+        assert len(rows) == 65
+        assert rows == sorted(rows)
+        growing = [re for re, _ in rows if re != 0.0]
+        assert growing == [] or (len(growing) == 2 and growing[0] == -growing[1])
+        off_axis.append(len(growing))
+    assert off_axis == [2, 2, 0, 0, 0]

@@ -16,6 +16,7 @@ from modwave.hill import (
     validate_pencil,
     zero_multiplicity,
 )
+from modwave.numerics import cos_to_full
 from modwave.stokes import EquationKind, newton_wave
 
 
@@ -230,3 +231,79 @@ def test_validate_pencil_flat_state(bbm):
     val = validate_pencil(EquationKind.BBM, bbm, 1.0, (0.0, 0.0), (2e-2, 1e-2))
     for row in val.rows:
         assert row.mismatch <= 1e-10 + 10.0 * row.xi**3
+
+
+def test_collision_scan_boussinesq_pairs_as_lists(boussinesq):
+    # pairs as JSON gives them
+    listed = collision_scan(EquationKind.BOUSSINESQ, boussinesq, 0.5, range(-4, 4),
+                            pairs=[[0, 2]])
+    assert listed == collision_scan(EquationKind.BOUSSINESQ, boussinesq, 0.5, range(-4, 4),
+                                    pairs=[(0, 2)])
+    assert [p.xi for p in listed] == pytest.approx([0.2864], abs=1e-4)
+
+
+def test_bbm_self_pair_rejected(bbm):
+    with pytest.raises(ValueError, match=r"\(0, 0\)"):
+        min_collision_k(bbm, [(0, 0)], (0.5, 3.0))
+
+
+def _hamiltonian_factors(op, sym):
+    """K and L, both real symmetric, with R = K L in assemble's layout.
+
+    With s = n + xi: KdV K = diag(s), L = diag(m(ks) - c) + conv; BBM
+    K = diag(s m(ks)), L = diag(c/m(ks)) - I - conv; bidirectional, per
+    mode pair in (u, q) order, K = s [[0, 1], [1, 0]] and
+    L = [[I + conv, c I], [c I, diag(m^2(ks))]].
+    """
+    wave, n = op.wave, op.n_modes
+    modes = np.arange(-n, n + 1)
+    s = modes + op.xi
+    m = eval_m(sym, wave.k * s)
+    conv = 2.0 * cos_to_full(wave.u_hat, 2 * n)[np.subtract.outer(modes, modes) + 2 * n]
+    eye = np.eye(modes.size)
+    if op.kind is EquationKind.KDV:
+        return np.diag(s), np.diag(m - wave.c) + conv
+    if op.kind is EquationKind.BBM:
+        return np.diag(s * m), np.diag(wave.c / m) - eye - conv
+    u_only, q_only = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    l_mat = (np.kron(eye + conv, u_only) + np.kron(wave.c * eye, swap)
+             + np.kron(np.diag(m**2), q_only))
+    return np.kron(np.diag(s), swap), l_mat
+
+
+@pytest.mark.parametrize("kind, name", [
+    (EquationKind.KDV, "whitham"), (EquationKind.BBM, "bbm"),
+    (EquationKind.BOUSSINESQ, "boussinesq"),
+], ids=lambda v: getattr(v, "value", v))
+def test_real_form_is_hamiltonian(kind, name, request):
+    sym = request.getfixturevalue(name)
+    op = assemble(kind, sym, newton_wave(kind, sym, 1.3, 0.05, 16), 0.2, 16)
+    k_mat, l_mat = _hamiltonian_factors(op, sym)
+    assert np.array_equal(l_mat, l_mat.T)
+    assert np.max(np.abs(op.real - k_mat @ l_mat)) <= 1e-13 * np.max(np.abs(op.real))
+
+
+def test_krein_count(bbm, boussinesq, whitham):
+    """n(L) = #{Re lambda > 0} + #{imaginary lambda with v* L v < 0}
+    (Kapitula, Kevrekidis & Sandstede, Physica D 195, 2004); needs K
+    invertible, so xi != 0 and, for BBM, m > 0."""
+    unstable = 0
+    for kind in EquationKind:
+        for sym in (bbm, boussinesq, whitham):
+            for k in (0.8, 2.0):
+                wave = newton_wave(kind, sym, k, 0.05, 16)
+                for xi in (0.1, 0.25):
+                    op = assemble(kind, sym, wave, xi, 16)
+                    m = eval_m(sym, k * (np.arange(-16, 17) + xi))
+                    if kind is EquationKind.BBM and np.any(m <= 0):
+                        continue
+                    k_mat, l_mat = _hamiltonian_factors(op, sym)
+                    mu, vecs = np.linalg.eig(op.real)  # lambda = i mu
+                    neutral = vecs[:, mu.imag == 0.0].real
+                    signature = np.einsum("ij,ik,kj->j", neutral, l_mat, neutral)
+                    krein_negative = int(np.sum(signature < 0))
+                    growing = int(np.sum(mu.imag < 0.0))
+                    unstable += growing > 0
+                    assert int(np.sum(np.linalg.eigvalsh(l_mat) < 0)) == growing + krein_negative
+    assert unstable > 0
