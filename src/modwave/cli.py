@@ -15,7 +15,8 @@ import numpy as np
 
 from . import hill, indices, output, pencil, validation
 from .config import RunConfig, load_config, merge_overrides
-from .dispersion import DispersionSymbol, parse_symbol, symbol_from_config
+from .dispersion import (DispersionSymbol, check_assumptions, fractional_symbol, parse_symbol,
+                         symbol_from_config)
 from .errors import ConfigError, ModwaveError
 from .indices import Verdict
 from .numerics import linear_grid
@@ -82,24 +83,23 @@ def cmd_index(cfg: RunConfig, args) -> int:
 
 
 def cmd_diagram(cfg: RunConfig, args) -> int:
-    from .dispersion import fractional_symbol
-
+    """Index signs over the (alpha x k) grid and the curves ind = 0, from one
+    fractional symbol with an exponent per row: one call per index and curve."""
     lo, hi = cfg.alpha_range
     if not (lo < hi) or cfg.alpha_steps < 2:
         raise ConfigError("alpha_range", "need lo < hi and alpha_steps >= 2")
     if cfg.k_range is None:
         cfg = dataclasses.replace(cfg, k_range=(0.05, 3.0))
     ks = cfg.k_values()
+    alphas = linear_grid(lo, hi, cfg.alpha_steps)
+    sym = fractional_symbol(alphas[:, None])
     kinds = (EquationKind.KDV, EquationKind.BBM, EquationKind.BOUSSINESQ)
-    rows, curve_rows = [], []
-    for alpha in linear_grid(lo, hi, cfg.alpha_steps).tolist():
-        sym = fractional_symbol(alpha)
-        # sign of each index: 0 for |ind| <= 1e-12, -1 for the nan of a degenerate one
-        signs = [np.where(np.abs(v) <= 1e-12, 0, np.where(v > 0, 1, -1)).tolist()
-                 for v in (indices.ind(kind, sym, ks).ind for kind in kinds)]
-        rows += zip([alpha] * ks.size, ks.tolist(), *signs)
-        k_bbm, k_bq = (indices.critical_wavenumber(kind, sym, (ks[0], ks[-1])) for kind in kinds[1:])
-        curve_rows.append((alpha, k_bbm, k_bq))
+    # sign of each index: 0 for |ind| <= 1e-12, -1 for the nan of a degenerate one
+    signs = [np.where(np.abs(v) <= 1e-12, 0, np.where(v > 0, 1, -1)).ravel().tolist()
+             for v in (indices.ind(kind, sym, ks).ind for kind in kinds)]
+    rows = zip(np.repeat(alphas, ks.size).tolist(), np.tile(ks, alphas.size).tolist(), *signs)
+    curve_rows = list(zip(alphas.tolist(), *(indices.critical_wavenumber(kind, sym, (ks[0], ks[-1]))
+                                             for kind in kinds[1:])))
     header = ["alpha", "k", "sign_ind_kdv", "sign_ind_bbm", "sign_ind_bnesq"]
     preamble = [
         "critical wave numbers per alpha (bbm, bnesq): "
@@ -123,14 +123,9 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     if len(ks) != 1:
         raise ConfigError("k", "spectrum needs a single --k")
     k = ks[0]
-    xis = cfg.xi_values().tolist()
     wave = newton_wave(kind, sym, k, cfg.a, cfg.n_modes)
-
-    def one(xi: float):
-        op = hill.assemble(kind, sym, wave, xi, cfg.n_modes)
-        return hill.spectrum(op, sym)
-
-    slices = [one(xi) for xi in xis]
+    slices = [hill.spectrum(hill.assemble(kind, sym, wave, xi, cfg.n_modes))
+              for xi in cfg.xi_values().tolist()]
     rows = []
     for sl in slices:
         vals = sl.eigenvalues
@@ -176,8 +171,6 @@ def cmd_wave(cfg: RunConfig, args) -> int:
 
 
 def cmd_resonances(cfg: RunConfig, args) -> int:
-    from .dispersion import check_assumptions
-
     sym = _resolve_symbol(cfg, args)
     kind = cfg.equation_kind()
     if cfg.k_range is None:

@@ -49,8 +49,10 @@ def _from_jet(name: str, jet: Callable[[ArrayLike], Jet], **kwargs) -> Dispersio
 
 
 def _require_finite(k: np.ndarray, ok: np.ndarray, message: Callable[[float], str]) -> None:
-    """Raise NonFinite naming the first k, in grid order, where ok is False."""
+    """Raise NonFinite naming the first k, in grid order, where ok is False;
+    ok may hold a row per parameter row, k broadcasts to it."""
     if not np.all(ok):
+        k, ok = np.broadcast_arrays(k, ok)
         raise NonFinite(message(float(k[~ok].flat[0])))
 
 
@@ -71,7 +73,7 @@ def jet_m(sym: DispersionSymbol, k: ArrayLike) -> Jet:
     _require_finite(
         k, np.isfinite(m) & np.isfinite(m1) & np.isfinite(m2),
         lambda bad: f"jet of {sym.name} at k={bad} is not finite: "
-                    f"{tuple(map(float, sym.jet(abs(bad))))}",
+                    f"{tuple(np.asarray(c).tolist() for c in sym.jet(abs(bad)))}",
     )
     return unbox(m), unbox(np.where(k < 0, -m1, m1)), unbox(m2)
 
@@ -161,22 +163,26 @@ def boussinesq_symbol() -> DispersionSymbol:
     return _from_jet("boussinesq", jet, alpha=-1.0)
 
 
-def fractional_symbol(alpha: float) -> DispersionSymbol:
+def fractional_symbol(alpha) -> DispersionSymbol:
     """m(k) = 1 + |k|^alpha.
 
     Twice continuously differentiable at 0 only for alpha >= 2; where a
-    derivative is unbounded at k = 0 the jet is not finite there.
+    derivative is unbounded at k = 0 the jet is not finite there.  alpha
+    may be an array that broadcasts against k: a column of exponents gives
+    one row of values per exponent.
     """
 
     def jet(k: ArrayLike) -> Jet:
         k = np.asarray(k, dtype=float)
         a = np.abs(k)
         with np.errstate(all="ignore"):
-            m = np.where(a == 0.0, 1.0 if alpha > 0.0 else math.inf, 1.0 + np.float_power(a, alpha))
+            m = np.where(a == 0.0, np.where(alpha > 0.0, 1.0, math.inf),
+                         1.0 + np.float_power(a, alpha))
             p1, p2 = np.float_power(a, alpha - 1.0), np.float_power(a, alpha - 2.0)
             return m, np.where(k < 0.0, -alpha * p1, alpha * p1), alpha * (alpha - 1.0) * p2
 
-    return _from_jet(f"fractional(alpha={alpha:g})", jet, alpha=alpha, params={"alpha": alpha})
+    name = f"fractional(alpha={alpha:g})" if np.ndim(alpha) == 0 else "fractional(alpha per row)"
+    return _from_jet(name, jet, alpha=alpha, params={"alpha": alpha})
 
 
 def _whitham_jet(k: ArrayLike) -> Jet:
@@ -507,9 +513,9 @@ def check_assumptions(
 
     The tail exponent is fitted by log-log regression over the top decade
     of the grid; the power-law envelope (C1, C2, alpha_hat) is reported.
-    Resonances m(k) = m(nk) are located by one sign-change scan per
-    n = 2..n_max; any hit is a violation of the non-resonance assumption
-    and downstream expansions refuse those wave numbers.
+    Resonances m(k) = m(nk) are located by one scan of a table with a row
+    per n = 2..n_max; any hit is a violation of the non-resonance
+    assumption and downstream expansions refuse those wave numbers.
     """
     grid = np.asarray(sorted(k_grid), dtype=float)
     if grid.size == 0:
@@ -553,14 +559,11 @@ def check_assumptions(
         # report-only quality gate: the tail must actually look like a power law
         m3_ok = bool(np.max(np.abs(resid)) <= 0.15)
 
-    # (M4): second and higher harmonic resonances
-    m_grid = eval_m(sym, grid)
-    violations = [
-        (root, n)
-        for n in range(2, n_max + 1)
-        for root in scan_roots(lambda k, n=n: eval_m(sym, k) - eval_m(sym, n * k), grid,
-                               m_grid - eval_m(sym, n * grid), tol=1e-12, zero_tol=1e-14)
-    ]
+    # (M4): second and higher harmonic resonances, one table row per n
+    n = np.arange(2, n_max + 1)[:, None]
+    roots = scan_roots(lambda k: eval_m(sym, k) - eval_m(sym, n * k), grid,
+                       eval_m(sym, grid) - eval_m(sym, n * grid), tol=1e-12, zero_tol=1e-14)
+    violations = [(root, order) for order, hits in zip(range(2, n_max + 1), roots) for root in hits]
     m4_ok = not violations
 
     return AssumptionReport(

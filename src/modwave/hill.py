@@ -106,20 +106,15 @@ def assemble(
     return BlochOperator(kind, k, xi, wave.a, n_modes, real, wave)
 
 
-def near_origin_radius(sym: DispersionSymbol, k: float, xi: float) -> float:
-    """Matching radius 10 xi (1 + max group speed over the first modes)."""
-    gmax = np.max(np.abs(group_speed(sym, k * (np.array([-1, 0, 1]) + xi))))
-    return float(10.0 * xi * (1.0 + gmax))
-
-
-def spectrum(op: BlochOperator, sym: DispersionSymbol | None = None) -> SpectrumSlice:
+def spectrum(op: BlochOperator) -> SpectrumSlice:
     """Full spectrum of the truncated operator, sorted by (Re, Im).
 
     The eigenvalues mu of the real matrix R map to lambda = i mu.  A real
     mu, the neutrally stable case, gives Re lambda = +0.0 exactly, so a
     stable slice is ordered by Im alone.  R is solved in a graded row
     order, largest |n+xi| first (a similarity by permutation): LAPACK's
-    nonsymmetric QR iteration finishes sooner on it.
+    nonsymmetric QR iteration finishes sooner on it.  The near-origin
+    cluster is measured with the symbol the wave was solved with.
     """
     scale = np.abs(np.arange(-op.n_modes, op.n_modes + 1) + op.xi)
     rows = np.argsort(-np.repeat(scale, op.real.shape[0] // scale.size), kind="stable")
@@ -130,8 +125,9 @@ def spectrum(op: BlochOperator, sym: DispersionSymbol | None = None) -> Spectrum
     vals = (0.0 - mu.imag) + 1j * mu.real
     vals = vals[np.lexsort((vals.imag, vals.real))]
     vals = np.where(np.abs(vals) <= ZERO_SNAP, 0.0, vals)
-    r0 = near_origin_radius(sym if sym is not None else op.wave.sym, op.k, op.xi)
-    near = vals[np.abs(vals) <= r0]
+    # matching radius 10 xi (1 + max group speed over the first modes)
+    gmax = np.max(np.abs(group_speed(op.wave.sym, op.k * (np.array([-1, 0, 1]) + op.xi))))
+    near = vals[np.abs(vals) <= 10.0 * op.xi * (1.0 + gmax)]
     return SpectrumSlice(
         xi=op.xi,
         eigenvalues=vals,
@@ -179,14 +175,15 @@ def collision_scan(
     """All xi in (0, 1/2] where two flat-state frequencies coincide.
 
     Scans every pair of mode indices from n_range (and both frequency
-    branches for the bidirectional system) by sign-change bisection of
-    the difference.  The frequencies of every (mode, branch) that takes
-    part are sampled once, as one (branch x xi) table; a pair's samples
-    are the difference of two rows.  ``pairs`` holds (n1, n2) as tuples or
-    lists.  The BBM-type scan takes them in the order and orientation
-    given and rejects a mode paired with itself, whose frequency
-    difference vanishes identically; the bidirectional one keeps the
-    branch combinations whose modes form one of ``pairs`` in either order.
+    branches for the bidirectional system) for sign changes of the
+    difference.  The frequencies of every (mode, branch) that takes part
+    are sampled once, as one (branch x xi) table; a pair's samples are
+    the difference of two rows, and one scan refines the sign changes of
+    all pairs.  ``pairs`` holds (n1, n2) as tuples or lists.  The
+    BBM-type scan takes them in the order and orientation given and
+    rejects a mode paired with itself, whose frequency difference
+    vanishes identically; the bidirectional one keeps the branch
+    combinations whose modes form one of ``pairs`` in either order.
     An exact zero counts as a collision only at the right endpoint
     xi = 1/2: the grid starts strictly inside the interval, and interior
     samples sit on the trivial common zero tail of all branches as
@@ -212,20 +209,21 @@ def collision_scan(
         raise UnsupportedKind("collision scan supports the BBM-type and bidirectional kinds")
     if not combos:
         return ()
-    rows = sorted({b for combo in combos for b in combo})
-    n_col, s_col = np.array(rows).T[:, :, None]
+    # the (mode, branch) rows in sorted order, and the two rows of each combination
+    rows, pick = np.unique(np.array(combos).reshape(-1, 2), axis=0, return_inverse=True)
+    first, second = pick.reshape(-1, 2).T
+    n_col, s_col = rows.T[:, :, None]
     xi_grid = np.linspace(1e-6, 0.5, xi_steps)
     table = omega(sym, k, n_col, xi_grid, s_col)
-    row = {b: i for i, b in enumerate(rows)}
+    vals = table[first] - table[second]
+    hits = scan_roots(lambda x: (omega(sym, k, n_col[first], x, s_col[first])
+                                 - omega(sym, k, n_col[second], x, s_col[second])),
+                      xi_grid, vals, tol=1e-12)
+    at_end = np.abs(vals[:, -1]) <= 1e-12 * np.maximum(1.0, np.max(np.abs(vals), axis=1))
     found: list[CollisionPoint] = []
-    for (n1, s1), (n2, s2) in combos:
-        vals = table[row[n1, s1]] - table[row[n2, s2]]
-        hits = scan_roots(lambda x: omega(sym, k, n1, x, s1) - omega(sym, k, n2, x, s2),
-                          xi_grid, vals, tol=1e-12)
-        if abs(vals[-1]) <= 1e-12 * max(1.0, float(np.max(np.abs(vals)))):
-            hits.append(float(xi_grid[-1]))
+    for ((n1, s1), (n2, s2)), xs, end in zip(combos, hits, at_end.tolist()):
         merged: list[float] = []
-        for x in sorted(hits):
+        for x in sorted(xs + [float(xi_grid[-1])] * end):
             if not merged or x - merged[-1] > 1e-9:
                 merged.append(x)
         found += [CollisionPoint(x, n1, n2, s1, s2) for x in merged]
@@ -306,7 +304,7 @@ def match_pencil_once(
 ) -> float:
     """Max distance between near-origin Bloch eigenvalues and pencil roots."""
     wave = newton_wave(kind, sym, k, a, n_modes)
-    vals = spectrum(assemble(kind, sym, wave, xi, n_modes), sym).eigenvalues
+    vals = spectrum(assemble(kind, sym, wave, xi, n_modes)).eigenvalues
     pencil = build_pencil(kind, sym, k, xi, a)
     proots = pencil.eigenvalues()
     count = proots.size
@@ -377,7 +375,7 @@ def growth_curve(
     wave2 = newton_wave(kind, sym, k, a, 2 * n_modes)
     out = []
     for xi in xi_grid:
-        re1 = spectrum(assemble(kind, sym, wave, float(xi), n_modes), sym).max_re
-        re2 = spectrum(assemble(kind, sym, wave2, float(xi), 2 * n_modes), sym).max_re
+        re1 = spectrum(assemble(kind, sym, wave, float(xi), n_modes)).max_re
+        re2 = spectrum(assemble(kind, sym, wave2, float(xi), 2 * n_modes)).max_re
         out.append(GrowthPoint(float(xi), re1, abs(re1 - re2) <= refine_tol))
     return tuple(out)

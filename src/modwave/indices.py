@@ -183,30 +183,29 @@ def find_resonances(
     k_range: tuple[float, float],
     samples: int = 400,
 ) -> ResonanceScan:
-    """Locate sign changes of the resonance quantities by bisection.
+    """Locate sign changes of the resonance quantities.
 
     R1: i1; R2: i2- (and i2+ for the bidirectional system); R3: i3-
     (and i3+); R4: the equation index.  A quantity that vanishes
-    identically on the grid is reported as degenerate everywhere.
+    identically on the grid is reported as degenerate everywhere; the
+    others are one table, a row per quantity, scanned at once.
     """
     k_lo, k_hi = k_range
     if not (0 < k_lo < k_hi):
         raise ValueError("need 0 < k_lo < k_hi")
     grid = np.linspace(k_lo, k_hi, samples)
-    # (label, column of _columns): i1, i2-, [i2+], i3-, [i3+], i_eq
-    both = kind is EquationKind.BOUSSINESQ
-    quantities = [("R1", 0), ("R2", 1)] + [("R2", 2)] * both + [("R3", 3)] + [("R3", 4)] * both
-    columns = _columns(kind, sym, grid)
-    points: list[ResonancePoint] = []
-    degenerate: set[str] = set()
-    for label, col in quantities + [("R4", 5)]:
-        if np.max(np.abs(columns[col])) <= DEGENERACY_TOL:
-            degenerate.add(label)
-            continue
-        roots = scan_roots(lambda k, col=col: _columns(kind, sym, k)[col], grid, columns[col],
-                           tol=1e-10, zero_tol=0.0)
-        points += [ResonancePoint(root, label) for root in roots]
+    # columns of _columns: i1, i2-, [i2+], i3-, [i3+], i_eq
+    cols = np.array([0, 1, 2, 3, 4, 5] if kind is EquationKind.BOUSSINESQ else [0, 1, 3, 5])
+    label = ("R1", "R2", "R2", "R3", "R3", "R4")  # by column
+    table = np.array(_columns(kind, sym, grid))[cols]
+    flat = np.max(np.abs(table), axis=1) <= DEGENERACY_TOL
+    live = cols[~flat]
+    # row r of f's argument holds the points of column live[r]
+    roots = scan_roots(lambda k: np.array(_columns(kind, sym, k))[live, np.arange(live.size)],
+                       grid, table[~flat], tol=1e-10, zero_tol=0.0)
+    points = [ResonancePoint(root, label[c]) for c, hits in zip(live.tolist(), roots) for root in hits]
     points.sort(key=lambda p: (p.k, p.kind))
+    degenerate = {label[c] for c in cols[flat].tolist()}
     return ResonanceScan(points=tuple(points), degenerate_everywhere=frozenset(degenerate))
 
 
@@ -215,18 +214,21 @@ def critical_wavenumber(
     sym: DispersionSymbol,
     k_range: tuple[float, float],
     samples: int = 400,
-) -> float | None:
+) -> float | None | list[float | None]:
     """Smallest sign change of the instability index in the range, if any.
 
     A sign change across which the index denominator (i3-, or i3- i3+)
     changes sign too is a pole of the quotient, not a threshold, and is
-    skipped.
+    skipped.  A symbol with a parameter per row, such as
+    ``fractional_symbol(alphas[:, None])``, gives a list with the
+    threshold of each row; one scan refines the brackets of all rows.
     """
     k_lo, k_hi = k_range
     if not (0 < k_lo < k_hi):
         raise ValueError("need 0 < k_lo < k_hi")
     grid = np.linspace(k_lo, k_hi, samples)
     *_, value, denom = _columns(kind, sym, grid)
-    roots = scan_roots(lambda k: _columns(kind, sym, k)[6], grid, value,
-                       tol=1e-12, zero_tol=0.0, poles=denom)
-    return roots[0] if roots else None
+    first = [hits[0] if hits else None for hits in scan_roots(
+        lambda k: _columns(kind, sym, k)[6], grid, np.atleast_2d(value), tol=1e-12, zero_tol=0.0,
+        poles=denom)]
+    return first if value.ndim == 2 else first[0]

@@ -1,19 +1,18 @@
 """Shared numerical kernels.
 
-Bracketed root finding, a root scan that refines the sign changes of
-samples its caller took by one array call, the evenly spaced grid
-itself, companion-matrix polynomial roots, a dense eigensolver wrapper,
-and cosine-series helpers used by the wave solver and the Bloch
-operator assembly: conversion between cosine and full-line
-coefficients (padded to any mode window), products by convolution, and
-the closed-form Toeplitz-plus-Hankel multiplication table.  All routines
-are pure and deterministic; property tests draw samples from a
-fixed-seed generator.
+Bracketed root finding over an array of brackets, a root scan that
+refines the sign changes of a table its caller sampled by one array
+call, the evenly spaced grid itself, companion-matrix polynomial roots,
+a dense eigensolver wrapper, and cosine-series helpers used by the wave
+solver and the Bloch operator assembly: conversion between cosine and
+full-line coefficients (padded to any mode window), products by
+convolution, and the closed-form Toeplitz-plus-Hankel multiplication
+table.  All routines are pure and deterministic; property tests draw
+samples from a fixed-seed generator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,65 +33,61 @@ def property_rng() -> np.random.Generator:
     return np.random.default_rng(PROPERTY_TEST_SEED)
 
 
-@dataclass(frozen=True)
-class Bracket:
-    """Sign-change interval for root finding."""
+def find_root(f: Callable, bracket, tol: float = 1e-12):
+    """Bisection/secant hybrid, elementwise over brackets; iterates stay in them.
 
-    lo: float
-    hi: float
-    f_lo: float
-    f_hi: float
-
-    def __post_init__(self):
-        if not (self.f_lo * self.f_hi < 0.0):
-            raise NoBracket(
-                f"f({self.lo})={self.f_lo:.3e} and f({self.hi})={self.f_hi:.3e} "
-                "do not bracket a root"
-            )
-
-    @classmethod
-    def scan(cls, f: Callable[[float], float], lo: float, hi: float) -> "Bracket":
-        return cls(lo, hi, f(lo), f(hi))
-
-
-def find_root(f: Callable[[float], float], bracket: Bracket, tol: float = 1e-12) -> float:
-    """Bisection/secant hybrid; the iterate never leaves the bracket.
-
-    Stops when |f| <= tol or the interval shrinks below tol*max(1, |x|);
-    raises NoConvergence when neither happens within 200 iterations.
+    ``bracket`` is (lo, hi, f(lo), f(hi)), floats or 1-d arrays, and the
+    roots come back in that shape.  f gets a 1-d array with a point per
+    bracket (a finished one keeps its last point); each bracket takes the
+    float steps it would take alone.  It stops when |f| <= tol or its
+    interval shrinks below tol*max(1, |x|); NoConvergence is raised when
+    one does neither within 200 iterations.
     """
-    lo, hi = bracket.lo, bracket.hi
-    f_lo, f_hi = bracket.f_lo, bracket.f_hi
+    lo, hi, f_lo, f_hi = (np.array(b, dtype=float, ndmin=1) for b in bracket)
+    if not np.all(f_lo * f_hi < 0.0):
+        i = np.argmin(f_lo * f_hi < 0.0)
+        raise NoBracket(f"f({lo[i]})={f_lo[i]:.3e} and f({hi[i]})={f_hi[i]:.3e} "
+                        "do not bracket a root")
     x = 0.5 * (lo + hi)
-    prev_width = hi - lo
+    points, roots = x.copy(), x.copy()
+    live, prev_width = np.arange(x.size), hi - lo  # live: the brackets still iterating
+
+    def f_at(at: np.ndarray) -> np.ndarray:
+        points[live] = at
+        return f(points)[live]
+
     for _ in range(200):
-        if hi - lo <= tol * max(1.0, abs(x)):
-            return 0.5 * (lo + hi)
-        # secant proposal from the current bracket endpoints
-        denom = f_hi - f_lo
-        if denom != 0.0:
-            x = hi - f_hi * (hi - lo) / denom
-        if denom == 0.0 or not (lo < x < hi):
-            x = 0.5 * (lo + hi)
-        fx = f(x)
-        if abs(fx) <= tol:
-            return x
-        if f_lo * fx < 0.0:
-            hi, f_hi = x, fx
-        else:
-            lo, f_lo = x, fx
-        # force a bisection step whenever the secant stops contracting
-        if (hi - lo) > 0.5 * prev_width:
+        mid = 0.5 * (lo + hi)  # prev_width is hi - lo here
+        out = prev_width <= tol * np.maximum(1.0, np.abs(x))
+        # secant proposal from the current bracket endpoints, else the midpoint
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = hi - f_hi * prev_width / (f_hi - f_lo)
+        x = np.where((lo < x) & (x < hi), x, mid)
+        fx = f_at(x)
+        stop = ~out & (np.abs(fx) <= tol)
+        found, out = np.where(stop, x, mid), out | stop
+        left = f_lo * fx < 0.0
+        lo, f_lo = np.where(left, lo, x), np.where(left, f_lo, fx)
+        hi, f_hi = np.where(left, x, hi), np.where(left, fx, f_hi)
+        # force a bisection step wherever the secant stops contracting
+        forced = ~out & ((hi - lo) > 0.5 * prev_width)
+        if np.count_nonzero(forced):
             mid = 0.5 * (lo + hi)
-            fm = f(mid)
-            if abs(fm) <= tol:
-                return mid
-            if f_lo * fm < 0.0:
-                hi, f_hi = mid, fm
-            else:
-                lo, f_lo = mid, fm
+            fm = f_at(np.where(forced, mid, x))
+            stop = forced & (np.abs(fm) <= tol)
+            found, out = np.where(stop, mid, found), out | stop
+            left = forced & (f_lo * fm < 0.0)
+            right = forced & ~left
+            lo, f_lo = np.where(right, mid, lo), np.where(right, fm, f_lo)
+            hi, f_hi = np.where(left, mid, hi), np.where(left, fm, f_hi)
         prev_width = hi - lo
-    raise NoConvergence(200, min(abs(f_lo), abs(f_hi)))
+        if np.count_nonzero(out):
+            roots[live[out]], keep = found[out], ~out
+            live, lo, hi, f_lo, f_hi, x, prev_width = (
+                a[keep] for a in (live, lo, hi, f_lo, f_hi, x, prev_width))
+            if not live.size:
+                return unbox(roots.reshape(np.shape(bracket[0])))
+    raise NoConvergence(200, float(np.min(np.minimum(np.abs(f_lo), np.abs(f_hi)))))
 
 
 def scan_roots(
@@ -102,30 +97,39 @@ def scan_roots(
     tol: float = 1e-12,
     zero_tol: float | None = None,
     poles: np.ndarray | None = None,
-) -> list[float]:
-    """Roots of f on a sample grid, in grid order, from its samples vals = f(grid).
+) -> list:
+    """Roots of each row of a table vals = f(grid), in grid order: a list
+    per row, or one list for a 1-d vals.
 
     The caller samples f (and the denominator ``poles``, if any) once over
-    the whole grid by an array call.  With zero_tol set, a sample with
+    the grid by an array call.  With zero_tol set, a sample with
     |f| <= zero_tol is a root itself; every other pair of neighbouring
-    samples of opposite sign brackets a root, refined by find_root through
-    0-d calls of f.  A bracket across which ``poles`` also changes sign
-    holds a pole of f, not a root, and is skipped.
+    samples of opposite sign brackets a root, unless ``poles`` changes
+    sign there too (a pole of f).  One find_root refines all brackets:
+    f gets a (rows, slots) array of each row's points, grid[0] in a slot
+    the row does not use.
     """
-    grid = np.asarray(grid, dtype=float)
-    vals = np.asarray(vals, dtype=float)
-    zero = np.zeros(grid.size, dtype=bool) if zero_tol is None else np.abs(vals) <= zero_tol
-    cross = (vals[:-1] * vals[1:] < 0.0) & ~zero[:-1] & ~zero[1:]
+    table = np.array(vals, dtype=float, ndmin=2)
+    zero = np.zeros(table.shape, dtype=bool) if zero_tol is None else np.abs(table) <= zero_tol
+    cross = (table[:, :-1] * table[:, 1:] < 0.0) & ~zero[:, :-1] & ~zero[:, 1:]
     if poles is not None:
-        cross &= ~(poles[:-1] * poles[1:] < 0.0)
-    roots = []
-    for i in np.flatnonzero(zero | np.append(cross, False)).tolist():
-        if zero[i]:
-            roots.append(float(grid[i]))
-        else:
-            bracket = Bracket(float(grid[i]), float(grid[i + 1]), float(vals[i]), float(vals[i + 1]))
-            roots.append(find_root(lambda x: float(f(x)), bracket, tol))
-    return roots
+        poles = np.array(poles, ndmin=2)
+        cross &= ~(poles[:, :-1] * poles[:, 1:] < 0.0)
+    found = np.where(zero, grid, np.nan)
+    row, col = np.nonzero(cross)
+    if row.size:
+        slot = np.arange(row.size) - np.searchsorted(row, row)  # rank within the row
+        points = np.full((table.shape[0], slot.max() + 1), grid[0])
+
+        def at(x: np.ndarray) -> np.ndarray:
+            points[row, slot] = x
+            return f(points)[row, slot]
+
+        found[row, col] = find_root(
+            at, (grid[col], grid[col + 1], table[row, col], table[row, col + 1]), tol)
+    zero[:, :-1] |= cross
+    roots = [r[hit].tolist() for r, hit in zip(found, zero)]
+    return roots if np.ndim(vals) == 2 else roots[0]
 
 
 def linear_grid(lo: float, hi: float, steps: int) -> np.ndarray:

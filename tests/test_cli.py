@@ -110,15 +110,6 @@ def test_index_csv_byte_stable(tmp_path):
         assert b"\r" not in fh.read()
 
 
-def test_index_threads_env_deterministic(tmp_path):
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["index", "--equation", "bbm", "--symbol", "bbm",
-            "--k-range", "0.5", "3", "--k-steps", "32"]
-    assert run(args + ["-o", str(out1)]) == 0
-    assert run(args + ["-o", str(out2)]) == 0
-    assert read(out1) == read(out2)
-
-
 def test_spectrum_flat_state(tmp_path):
     out = tmp_path / "spec.csv"
     summary = tmp_path / "spec.json"

@@ -144,6 +144,16 @@ def test_array_calls_name_the_first_bad_k():
     assert m[1] == jet_m(parsed, 0.0)[0] and m[0] == eval_m(parsed, 1.0)
 
 
+
+def test_row_parameter_symbols_name_the_first_bad_k():
+    rows = fractional_symbol(np.array([[-1.0], [2.0]]))
+    assert rows.name == "fractional(alpha per row)"
+    assert eval_m(rows, np.array([1.0, 2.0])).tolist() == [[2.0, 1.5], [2.0, 5.0]]
+    with pytest.raises(NonFinite, match=r"^fractional\(alpha per row\)\(0\.0\) is not finite$"):
+        eval_m(rows, 0.0)
+    with pytest.raises(NonFinite, match=r" at k=0\.0 is not finite: \(\[\[inf\], \[1\.0\]\], "):
+        jet_m(rows, np.array([1.0, 0.0]))
+
 def test_fractional_raw_is_even():
     for alpha in (2.5, 3.0):
         sym = fractional_symbol(alpha)

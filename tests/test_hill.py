@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -86,19 +87,19 @@ def test_flat_state_spectra_purely_imaginary(bbm, boussinesq, whitham, frac3):
 
 def test_spectrum_stability_examples(bbm, boussinesq):
     wave = newton_wave(EquationKind.BBM, bbm, 1.0, 0.01, 32)
-    sl = spectrum(assemble(EquationKind.BBM, bbm, wave, 0.01, 32), bbm)
+    sl = spectrum(assemble(EquationKind.BBM, bbm, wave, 0.01, 32))
     assert sl.max_re <= 1e-8
     wave = newton_wave(EquationKind.BBM, bbm, 2.0, 0.01, 32)
-    sl = spectrum(assemble(EquationKind.BBM, bbm, wave, 0.005, 32), bbm)
+    sl = spectrum(assemble(EquationKind.BBM, bbm, wave, 0.005, 32))
     assert sl.max_re > 1e-8
     wave = newton_wave(EquationKind.BOUSSINESQ, boussinesq, 1.0, 0.01, 32)
-    sl = spectrum(assemble(EquationKind.BOUSSINESQ, boussinesq, wave, 0.01, 32), boussinesq)
+    sl = spectrum(assemble(EquationKind.BOUSSINESQ, boussinesq, wave, 0.01, 32))
     assert sl.max_re <= 1e-8
 
 
 def test_near_origin_cluster(bbm):
     wave = newton_wave(EquationKind.BBM, bbm, 2.0, 0.01, 32)
-    sl = spectrum(assemble(EquationKind.BBM, bbm, wave, 0.01, 32), bbm)
+    sl = spectrum(assemble(EquationKind.BBM, bbm, wave, 0.01, 32))
     assert len(sl.near_origin) == 3
 
 
@@ -140,8 +141,8 @@ def test_truncation_robustness(bbm, boussinesq):
     ):
         w32 = newton_wave(kind, sym, k, 0.01, 32)
         w48 = newton_wave(kind, sym, k, 0.01, 48)
-        r32 = spectrum(assemble(kind, sym, w32, 0.01, 32), sym).max_re
-        r48 = spectrum(assemble(kind, sym, w48, 0.01, 48), sym).max_re
+        r32 = spectrum(assemble(kind, sym, w32, 0.01, 32)).max_re
+        r48 = spectrum(assemble(kind, sym, w48, 0.01, 48)).max_re
         assert abs(r32 - r48) <= 1e-7
 
 
@@ -182,6 +183,21 @@ def test_boussinesq_first_flat_state_collision(boussinesq, k, xi, modes):
     first = collision_scan(EquationKind.BOUSSINESQ, boussinesq, k, range(-4, 4))[0]
     assert first.xi == pytest.approx(xi, abs=1e-4)
     assert (first.n1, first.n2, first.branch1, first.branch2) == modes
+
+
+@pytest.mark.parametrize("kind, k, modes", [
+    (EquationKind.BBM, 2.0, range(-8, 1)),
+    (EquationKind.BBM, 6.0, range(-6, 7)),
+    (EquationKind.BOUSSINESQ, 1.0, range(-4, 5)),
+])
+def test_collision_scan_is_the_union_of_one_pair_scans(kind, k, modes, bbm, boussinesq):
+    sym = bbm if kind is EquationKind.BBM else boussinesq
+    # a bidirectional mode also pairs with itself, across the two branches
+    pairs = (itertools.combinations(modes, 2) if kind is EquationKind.BBM
+             else itertools.combinations_with_replacement(modes, 2))
+    union = [p for pair in pairs for p in collision_scan(kind, sym, k, modes, pairs=[pair])]
+    union.sort(key=lambda p: (p.xi, p.n1, p.n2))
+    assert collision_scan(kind, sym, k, modes) == tuple(union)
 
 
 def test_collision_scan_bbm_pairs_keep_their_orientation(bbm):

@@ -165,6 +165,16 @@ def test_critical_wavenumber_skips_poles(kind):
 
 
 @pytest.mark.parametrize("kind", list(EquationKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("k_range", [(0.05, 3.0), (0.1234, 2.9876)])
+def test_critical_wavenumber_rows_match_one_alpha_calls(kind, k_range):
+    alphas = np.linspace(2.0, 6.0, 17)
+    rows = critical_wavenumber(kind, fractional_symbol(alphas[:, None]), k_range)
+    alone = [critical_wavenumber(kind, fractional_symbol(a), k_range) for a in alphas.tolist()]
+    assert rows == alone
+    assert all(r is None or type(r) is float for r in rows)
+
+
+@pytest.mark.parametrize("kind", list(EquationKind), ids=lambda kind: kind.value)
 def test_ind_columns_match_one_k_reports(kind, bbm, frac3):
     ks = np.append(np.linspace(0.05, 3.0, 120), math.sqrt(3.0))
     for sym in (bbm, frac3, fractional_symbol(1.0)):

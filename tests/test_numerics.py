@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from modwave.errors import LeadingZero, NoBracket, NoConvergence
 from modwave.indices import ind
 from modwave.numerics import (
-    Bracket,
     cos_product,
     cos_product_matrix,
     cos_square,
@@ -23,19 +22,24 @@ from modwave.numerics import (
 from modwave.stokes import EquationKind
 
 
+def bracket(f, lo, hi):
+    return lo, hi, f(lo), f(hi)
+
+
 def test_find_root_identity():
-    assert find_root(lambda x: x, Bracket.scan(lambda x: x, -1.0, 1.0)) == pytest.approx(0.0, abs=1e-12)
+    f = lambda x: x
+    assert find_root(f, bracket(f, -1.0, 1.0)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_find_root_bbm_index_threshold(bbm):
     f = lambda k: ind(EquationKind.BBM, bbm, k).ind
-    root = find_root(f, Bracket.scan(f, 1.5, 2.0), tol=1e-13)
+    root = find_root(f, bracket(f, 1.5, 2.0), tol=1e-13)
     assert abs(root - math.sqrt(3.0)) <= 1e-10
 
 
 def test_find_root_fractional_alpha():
-    f = lambda a: 3.0 - 2.0 ** (1.0 + a) + a
-    root = find_root(f, Bracket.scan(f, 0.5, 1.5), tol=1e-14)
+    f = lambda a: 3.0 - np.float_power(2.0, 1.0 + a) + a
+    root = find_root(f, bracket(f, 0.5, 1.5), tol=1e-14)
     assert abs(root - 1.0) <= 1e-12
 
 
@@ -43,9 +47,9 @@ def test_find_root_stays_in_bracket():
     rng = property_rng()
     for _ in range(50):
         shift = rng.uniform(-2.0, 2.0)
-        f = lambda x: math.tanh(x - shift)
+        f = lambda x: np.tanh(x - shift)
         lo, hi = shift - rng.uniform(0.1, 3.0), shift + rng.uniform(0.1, 3.0)
-        root = find_root(f, Bracket.scan(f, lo, hi))
+        root = find_root(f, bracket(f, lo, hi))
         assert lo <= root <= hi
         assert abs(root - shift) <= 1e-9
 
@@ -54,12 +58,42 @@ def test_find_root_reports_no_convergence():
     # tol = 0 cannot be met once the bracket is two adjacent floats
     f = lambda x: x * x - 2.0
     with pytest.raises(NoConvergence):
-        find_root(f, Bracket.scan(f, 1.0, 2.0), tol=0.0)
+        find_root(f, bracket(f, 1.0, 2.0), tol=0.0)
+    # one bracket that cannot converge fails the whole batch
+    with pytest.raises(NoConvergence):
+        find_root(f, bracket(f, np.array([1.0, 0.0]), np.array([2.0, 3.0])), tol=0.0)
 
 
 def test_no_bracket():
+    f = lambda x: x * x + 1.0
     with pytest.raises(NoBracket):
-        Bracket.scan(lambda x: x * x + 1.0, -1.0, 1.0)
+        find_root(f, bracket(f, -1.0, 1.0))
+    g = lambda x: x * x - 2.0
+    with pytest.raises(NoBracket, match=r"f\(-1\.0\)"):
+        find_root(g, bracket(g, np.array([1.0, -1.0]), np.array([2.0, 1.0])))
+
+
+def test_find_root_batch_matches_each_bracket_alone():
+    # brackets that stop by each rule: |f| <= tol at a forced midpoint (the
+    # flat quintic), the interval width (the step, where |f| = 1), and
+    # |f| <= tol at a secant point (the rest); the last holds NaN samples
+    def f(x):
+        with np.errstate(invalid="ignore"):
+            return np.select([x < 1.5, x < 2.95, x < 10.0, x < 20.0, x < 30.0],
+                             [np.float_power(x - 0.25, 5), np.where(x < 2.3, -1.0, 1.0),
+                              np.sin(x), x - 12.5, np.tanh(4.0 * (x - 25.1))], np.log(x - 35.0))
+
+    lo = np.array([0.0, 2.0, 3.0, 11.0, 20.5, 24.0, 34.0])
+    hi = np.array([1.0, 2.9, 4.0, 15.0, 29.0, 27.0, 38.0])
+    f_lo, f_hi = f(lo), f(hi)
+    f_lo[-1] = -1.0  # f(34) is NaN
+    for tol in (1e-12, 1e-8):
+        calls = []
+        roots = find_root(lambda x: calls.append(x.shape) or f(x), (lo, hi, f_lo, f_hi), tol)
+        alone = [find_root(f, (lo[i], hi[i], f_lo[i], f_hi[i]), tol) for i in range(lo.size)]
+        assert roots.tolist() == alone
+        assert set(calls) == {lo.shape}
+    assert isinstance(alone[0], float)
 
 
 def test_poly_roots_quartic():
@@ -102,11 +136,29 @@ def test_scan_roots():
         return x - 1.0 + 1e-15
 
     assert scan_roots(g, line, g(line), zero_tol=1e-14) == [1.0]
-    # the samples are the caller's: f itself is only called to refine brackets
-    calls = []
-    assert scan_roots(lambda x: calls.append(x) or np.sin(x), grid, np.sin(grid)) == [
-        pytest.approx(math.pi, abs=1e-12)]
-    assert calls and all(np.ndim(x) == 0 for x in calls)
+    # the samples are the caller's: f itself is only called to refine the
+    # brackets, all at once, so its calls do not grow with their number
+    counts = []
+    for periods in (1, 10, 100):
+        line = np.linspace(0.1, 4.0 * periods, 40 * periods)
+        calls = []
+        roots = scan_roots(lambda x: calls.append(x) or np.sin(x), line, np.sin(line))
+        assert roots == pytest.approx(math.pi * np.arange(1, len(roots) + 1), abs=1e-12)
+        assert all(isinstance(x, np.ndarray) and x.ndim == 2 for x in calls)
+        counts.append(len(calls))
+    assert counts[0] > 0 and counts[0] == counts[1] == counts[2]
+
+
+def test_scan_roots_table_rows_match_one_row_scans():
+    grid = np.linspace(0.1, 10.0, 200)
+    n = np.arange(1, 6)[:, None]
+    f = lambda x: np.sin(n * x) - 0.3
+    rows = scan_roots(f, grid, f(grid), tol=1e-13)
+    assert [len(r) for r in rows] == [4, 7, 10, 12, 15]
+    for i, row in enumerate(rows):
+        g = lambda x, m=float(n[i, 0]): np.sin(m * x) - 0.3
+        assert row == scan_roots(g, grid, g(grid), tol=1e-13)
+    assert scan_roots(f, grid, np.ones((2, grid.size))) == [[], []]
 
 
 def test_linear_grid_matches_the_stepwise_loop():
