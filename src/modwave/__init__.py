@@ -39,19 +39,14 @@ from .indices import (
     ind,
 )
 from .pencil import (
-    PencilVerdict,
     QuarticClass,
     QuarticClassification,
     ReducedPencil,
-    RescaledCharPoly,
     bnesq_leading_discs,
     build_bbm_pencil,
     build_bnesq_pencil,
     classify_quartic,
-    disc1,
-    disc2,
     disc_cubic,
-    disc_quartic,
     pencil_verdict,
     pencil_verdicts,
     rescaled_charpoly,

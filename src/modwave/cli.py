@@ -19,16 +19,7 @@ from .dispersion import (DispersionSymbol, check_assumptions, fractional_symbol,
                          symbol_from_config)
 from .errors import ConfigError, ModwaveError
 from .indices import Verdict
-from .numerics import linear_grid
 from .stokes import EquationKind, newton_wave
-
-
-#: index verdict that a reduced-pencil verdict settles an Inconclusive k to
-_PENCIL_TO_INDEX = {
-    pencil.PencilVerdict.STABLE: Verdict.STABLE_NEAR_ORIGIN,
-    pencil.PencilVerdict.UNSTABLE: Verdict.MODULATIONALLY_UNSTABLE,
-    pencil.PencilVerdict.DEGENERATE: Verdict.DEGENERATE,
-}
 
 
 def _resolve_symbol(cfg: RunConfig, args) -> DispersionSymbol:
@@ -70,8 +61,7 @@ def cmd_index(cfg: RunConfig, args) -> int:
     verdicts = report.verdict.copy()
     # only the bidirectional index leaves rows Inconclusive
     open_rows = verdicts == Verdict.INCONCLUSIVE
-    verdicts[open_rows] = list(map(_PENCIL_TO_INDEX.get,
-                                   pencil.pencil_verdicts(kind, sym, report[open_rows])))
+    verdicts[open_rows] = pencil.pencil_verdicts(kind, sym, report[open_rows])
     rows = zip(
         report.k.tolist(), report.i1.tolist(), report.i2m.tolist(), report.i2p.tolist(),
         report.i3m.tolist(), report.i3p.tolist(), report.i_eq.tolist(), report.ind.tolist(),
@@ -91,7 +81,7 @@ def cmd_diagram(cfg: RunConfig, args) -> int:
     if cfg.k_range is None:
         cfg = dataclasses.replace(cfg, k_range=(0.05, 3.0))
     ks = cfg.k_values()
-    alphas = linear_grid(lo, hi, cfg.alpha_steps)
+    alphas = np.linspace(lo, hi, cfg.alpha_steps)
     sym = fractional_symbol(alphas[:, None])
     kinds = (EquationKind.KDV, EquationKind.BBM, EquationKind.BOUSSINESQ)
     # sign of each index: 0 for |ind| <= 1e-12, -1 for the nan of a degenerate one
@@ -183,7 +173,7 @@ def cmd_resonances(cfg: RunConfig, args) -> int:
             "identically degenerate on this range: "
             + ",".join(sorted(scan.degenerate_everywhere))
         )
-    report = check_assumptions(sym, linear_grid(*cfg.k_range, 200), cfg.n_max)
+    report = check_assumptions(sym, np.linspace(*cfg.k_range, 200), cfg.n_max)
     for k_hit, n in report.m4_violations:
         if n > 2:  # n = 2 is already reported as R3
             preamble.append(f"harmonic resonance m(k)=m({n}k) near k={k_hit!r}")

@@ -9,7 +9,6 @@ from typing import Any
 import numpy as np
 
 from .errors import ConfigError
-from .numerics import linear_grid
 from .stokes import EquationKind
 
 #: asymptotic-regime caps; values above these draw a warning, not an error
@@ -66,7 +65,7 @@ class RunConfig:
             raise ConfigError(f"{name}_range", f"need {need}, got {span}")
         if steps < 1:
             raise ConfigError(f"{name}_steps", "must be >= 1")
-        return linear_grid(*span, steps)
+        return np.linspace(*span, steps)
 
     def k_values(self) -> np.ndarray:
         return self._values("k", self.k, self.k_range, self.k_steps,

@@ -2,7 +2,7 @@
 
 Bracketed root finding over an array of brackets, a root scan that
 refines the sign changes of a table its caller sampled by one array
-call, the evenly spaced grid itself, companion-matrix polynomial roots,
+call, companion-matrix polynomial roots,
 a dense eigensolver wrapper, and cosine-series helpers used by the wave
 solver and the Bloch operator assembly: conversion between cosine and
 full-line coefficients (padded to any mode window), products by
@@ -130,13 +130,6 @@ def scan_roots(
     zero[:, :-1] |= cross
     roots = [r[hit].tolist() for r, hit in zip(found, zero)]
     return roots if np.ndim(vals) == 2 else roots[0]
-
-
-def linear_grid(lo: float, hi: float, steps: int) -> np.ndarray:
-    """steps evenly spaced points lo + i*(hi - lo)/(steps - 1); [lo] for one step."""
-    if steps == 1:
-        return np.array([float(lo)])
-    return np.arange(steps) * ((hi - lo) / (steps - 1)) + lo
 
 
 def poly_roots(coeffs: Sequence[complex]) -> np.ndarray:

@@ -3,9 +3,11 @@
 The action of the linearized operator on its near-zero spectral subspace
 is represented by a pair of small matrices (B, I): 3x3 for the
 unidirectional equation, 4x4 for the bidirectional system.  After the
-substitution lambda -> -i*xi*lambda the characteristic polynomial has
+substitution lambda -> -i*xi*L the characteristic polynomial in L has
 real coefficients; its cubic/quartic discriminants decide modulational
-stability for small Floquet exponent and amplitude.
+stability for small Floquet exponent and amplitude.  The polynomial is one
+real coefficient array, highest degree first, and every discriminant, the
+quartic classifier and the tolerance take it in that form.
 
 The matrices are exact finite formulas in (xi, a); the asymptotic
 remainders are dropped by construction, so their validity domain is
@@ -87,12 +89,6 @@ class ReducedPencil:
             "B": dump(self.b_matrix),
             "I": dump(self.i_matrix),
         }
-
-
-def _coefficient_arrays(*p) -> list[np.ndarray]:
-    """Coefficients as float arrays; a scalar becomes 0-d, so it takes the
-    same ufunc loops as a row of a batch."""
-    return [np.asarray(c, dtype=float) for c in p]
 
 
 def _symbol_columns(sym: DispersionSymbol, k) -> tuple[np.ndarray, ...]:
@@ -191,112 +187,76 @@ def build_pencil(kind: EquationKind, sym: DispersionSymbol, k, xi: float, a: flo
 
 
 def _charpoly_monic(m: np.ndarray) -> np.ndarray:
-    """Coefficients (ascending powers, monic) of det(lambda I - M) by the
-    Faddeev-LeVerrier recursion, for M of shape (..., n, n)."""
+    """Coefficients (highest degree first, monic) of det(lambda I - M) by
+    the Faddeev-LeVerrier recursion, for M of shape (..., n, n)."""
     n = m.shape[-1]
     eye = np.eye(n, dtype=complex)
     coeffs = np.zeros(m.shape[:-2] + (n + 1,), dtype=complex)
-    coeffs[..., n] = 1.0
+    coeffs[..., 0] = 1.0
     mk = np.array(m, dtype=complex)
     ck = -np.trace(mk, axis1=-2, axis2=-1)
-    coeffs[..., n - 1] = ck
+    coeffs[..., 1] = ck
     for j in range(2, n + 1):
         mk = m @ (mk + ck[..., None, None] * eye)
         ck = -np.trace(mk, axis1=-2, axis2=-1) / j
-        coeffs[..., n - j] = ck
+        coeffs[..., j] = ck
     return coeffs
 
 
-@dataclass(frozen=True)
-class RescaledCharPoly:
-    """Real coefficients d_0..d_deg of the rescaled characteristic polynomial.
-
-    Sign convention: degree 3 encodes  d3 L^3 - d2 L^2 - d1 L + d0,
-    degree 4 encodes  d4 L^4 - d3 L^3 - d2 L^2 + d1 L + d0, where
-    L = lambda/(-i xi) and lambda runs over det(B - lambda I) = 0.
-    """
-
-    degree: int
-    d: np.ndarray  # ascending: d[..., 0]..d[..., degree], one row per k
-
-    def standard_coefficients(self) -> np.ndarray:
-        """Descending coefficients of the actual real polynomial in L."""
-        d = [self.d[..., i] for i in range(self.degree + 1)]
-        if self.degree == 3:
-            return np.stack([d[3], -d[2], -d[1], d[0]], axis=-1)
-        return np.stack([d[4], -d[3], -d[2], d[1], d[0]], axis=-1)
-
-    def roots(self) -> np.ndarray:
-        from .numerics import poly_roots
-
-        return poly_roots(self.standard_coefficients())
-
-
-def rescaled_charpoly(pencil: ReducedPencil) -> RescaledCharPoly:
-    """Extract the real rescaled coefficients from the pencil (or stack).
+def rescaled_charpoly(pencil: ReducedPencil) -> np.ndarray:
+    """Real coefficients of det(I) det(L - G), highest degree first, with
+    G = I^-1 B / (-i xi) and L = lambda/(-i xi): shape (size+1,) for one
+    pencil, (n, size+1) with a row per k for a stack.
 
     Requires xi > 0.  Imaginary residues up to IMAG_RESIDUE_TOL (relative
-    to the coefficient scale) are zeroed; larger residues indicate a
-    transcription or conditioning problem and raise, for the first such
-    k of a stack.
+    to the coefficient scale) are dropped; larger residues indicate a
+    transcription or conditioning problem and raise, naming the first
+    such k of a stack.
     """
     xi = pencil.xi
     if xi == 0.0:
         raise NotRescalable("rescaling requires xi > 0")
-    size = pencil.size
     g = np.linalg.solve(pencil.i_matrix, pencil.b_matrix) / (-1j * xi)
-    monic = _charpoly_monic(g)  # ascending, monic in L
-    det_i = np.linalg.det(pencil.i_matrix)
-    coeffs = np.expand_dims(det_i, -1) * monic
-    c = [coeffs[..., i] for i in range(size + 1)]
-    if size == 3:
-        # d3 = -det(I); (d3,-d2,-d1,d0) = -det(I)*(monic descending)
-        d = np.stack([-c[0], c[1], c[2], -c[3]], axis=-1)
-    else:
-        d = np.stack([c[0], c[1], -c[2], -c[3], c[4]], axis=-1)
-    scale = np.max(np.abs(d), axis=-1)
+    p = np.expand_dims(np.linalg.det(pencil.i_matrix), -1) * _charpoly_monic(g)
+    scale = np.max(np.abs(p), axis=-1)
     scale = np.where(scale == 0.0, 1.0, scale)
-    residue = np.max(np.abs(d.imag), axis=-1)
-    too_big = residue > IMAG_RESIDUE_TOL * scale
+    residue = np.ravel(np.max(np.abs(p.imag), axis=-1))
+    too_big = residue > IMAG_RESIDUE_TOL * np.ravel(scale)
     if np.any(too_big):
+        first = np.argmax(too_big)
         raise NotRescalable(
-            f"imaginary residue {residue[too_big][0]:.3e} exceeds "
-            f"{IMAG_RESIDUE_TOL:.0e} * scale"
+            f"imaginary residue {residue[first]:.3e} exceeds "
+            f"{IMAG_RESIDUE_TOL:.0e} * scale at k={np.ravel(pencil.k)[first]}"
         )
-    return RescaledCharPoly(degree=size, d=d.real.copy())
+    return p.real.copy()
 
 
-def disc_cubic(poly: RescaledCharPoly):
-    """Cubic discriminant in the d-coefficient convention.
+def _coefficients(p, degree: int) -> list[np.ndarray]:
+    """The coefficient columns of p (a polynomial per row of its last axis,
+    highest degree first) as float arrays.  One polynomial gives 0-d
+    arrays, so it takes the same ufunc loops as a row of a stack."""
+    p = np.asarray(p, dtype=float)
+    if p.shape[-1] != degree + 1:
+        raise DegreeMismatch(f"expected degree {degree}, got {p.shape[-1] - 1}")
+    return [p[..., i] for i in range(degree + 1)]
 
-    18 d3 d2 d1 d0 + d2^2 d1^2 + 4 d2^3 d0 + 4 d3 d1^3 - 27 d3^2 d0^2;
-    negative means a complex pair, i.e. modulational instability.
-    """
-    if poly.degree != 3:
-        raise DegreeMismatch(f"expected degree 3, got {poly.degree}")
-    d0, d1, d2, d3 = (poly.d[..., i] for i in range(4))
+
+def disc_cubic(p):
+    """Discriminant of p3 L^3 + p2 L^2 + p1 L + p0 (elementwise);
+    negative means a complex pair, i.e. modulational instability."""
+    p3, p2, p1, p0 = _coefficients(p, 3)
     return unbox(
-        18.0 * d3 * d2 * d1 * d0
-        + d2 * d2 * d1 * d1
-        + 4.0 * d2**3 * d0
-        + 4.0 * d3 * d1**3
-        - 27.0 * d3 * d3 * d0 * d0
+        18.0 * p3 * p2 * p1 * p0
+        + p2 * p2 * p1 * p1
+        - 4.0 * p2**3 * p0
+        - 4.0 * p3 * p1**3
+        - 27.0 * p3 * p3 * p0 * p0
     )
 
 
-def _quartic_standard(poly: RescaledCharPoly) -> list[np.ndarray]:
-    """Standard coefficients as five arrays p4..p0."""
-    if poly.degree != 4:
-        raise DegreeMismatch(f"expected degree 4, got {poly.degree}")
-    p = poly.standard_coefficients()
-    if np.any(p[..., 0] == 0.0):
-        raise LeadingZero("quartic leading coefficient is zero")
-    return [p[..., i] for i in range(5)]
-
-
-def quartic_disc(p4, p3, p2, p1, p0):
+def quartic_disc(p):
     """Discriminant of p4 x^4 + p3 x^3 + p2 x^2 + p1 x + p0 (elementwise)."""
-    p4, p3, p2, p1, p0 = _coefficient_arrays(p4, p3, p2, p1, p0)
+    p4, p3, p2, p1, p0 = _coefficients(p, 4)
     return unbox(
         256 * p4**3 * p0**3
         - 192 * p4**2 * p3 * p1 * p0**2
@@ -317,15 +277,15 @@ def quartic_disc(p4, p3, p2, p1, p0):
     )
 
 
-def quartic_disc1(p4, p3, p2, p1, p0):
+def quartic_disc1(p):
     """8 p4 p2 - 3 p3^2."""
-    p4, p3, p2, p1, p0 = _coefficient_arrays(p4, p3, p2, p1, p0)
+    p4, p3, p2, _, _ = _coefficients(p, 4)
     return unbox(8.0 * p4 * p2 - 3.0 * p3 * p3)
 
 
-def quartic_disc2(p4, p3, p2, p1, p0):
+def quartic_disc2(p):
     """64 p4^3 p0 - 16 p4^2 p2^2 + 16 p4 p3^2 p2 - 16 p4^2 p3 p1 - 3 p3^4."""
-    p4, p3, p2, p1, p0 = _coefficient_arrays(p4, p3, p2, p1, p0)
+    p4, p3, p2, p1, p0 = _coefficients(p, 4)
     return unbox(
         64.0 * p4**3 * p0
         - 16.0 * p4**2 * p2**2
@@ -333,19 +293,6 @@ def quartic_disc2(p4, p3, p2, p1, p0):
         - 16.0 * p4**2 * p3 * p1
         - 3.0 * p3**4
     )
-
-
-def disc_quartic(poly: RescaledCharPoly):
-    """Quartic discriminant of the rescaled polynomial (standard form)."""
-    return quartic_disc(*_quartic_standard(poly))
-
-
-def disc1(poly: RescaledCharPoly):
-    return quartic_disc1(*_quartic_standard(poly))
-
-
-def disc2(poly: RescaledCharPoly):
-    return quartic_disc2(*_quartic_standard(poly))
 
 
 class QuarticClass(enum.Enum):
@@ -366,11 +313,12 @@ class QuarticClassification:
     disc2: float | np.ndarray
 
 
-def default_disc_tolerance(coeffs, power: int = 4):
-    """1e-12 times the coefficient scale raised to the stated power.
-    ``coeffs`` holds one polynomial per row of its last axis."""
-    scale = np.fmax(1e-300, np.max(np.abs(np.asarray(coeffs, dtype=float)), axis=-1))
-    return unbox(1e-12 * scale**power)
+def default_disc_tolerance(p):
+    """1e-12 times the fourth power of the coefficient scale, for each
+    polynomial (row of the last axis) of p.  np.power, not **, so that one
+    polynomial's scalar scale takes the array loop of a stack."""
+    scale = np.fmax(1e-300, np.max(np.abs(np.asarray(p, dtype=float)), axis=-1))
+    return unbox(1e-12 * np.power(scale, 4))
 
 
 #: QuarticClass by the codes classify_quartic computes
@@ -381,33 +329,26 @@ _CATEGORY_BY_CODE = np.array(
 )
 
 
-def classify_quartic(p4, p3, p2, p1, p0, tol=None) -> QuarticClassification:
-    """Root-type classification of a real quartic by discriminant signs,
-    elementwise over coefficient arrays.
+def classify_quartic(p, tol=None) -> QuarticClassification:
+    """Root-type classification of real quartics p (a polynomial per row of
+    the last axis, highest degree first) by discriminant signs.
 
     disc<0: two real roots and one conjugate pair; disc>0 with disc1<0 and
     disc2<0: four real roots; disc>0 with disc1>0 or disc2>0: two
     conjugate pairs.  |disc|<=tol (or a boundary sign pattern) returns
     Degenerate rather than guessing.
     """
-    p = _coefficient_arrays(p4, p3, p2, p1, p0)
-    if np.any(p[0] == 0.0):
+    if np.any(_coefficients(p, 4)[0] == 0.0):
         raise LeadingZero("quartic leading coefficient is zero")
     if tol is None:
-        tol = default_disc_tolerance(np.stack(np.broadcast_arrays(*p), axis=-1))
-    d = quartic_disc(*p)
-    d1 = quartic_disc1(*p)
-    d2 = quartic_disc2(*p)
+        tol = default_disc_tolerance(p)
+    d, d1, d2 = quartic_disc(p), quartic_disc1(p), quartic_disc2(p)
     code = np.select(
         [np.abs(d) <= tol, d < 0.0, (d1 < 0.0) & (d2 < 0.0), (d1 > 0.0) | (d2 > 0.0)],
         [0, 1, 2, 3],
         default=0,
     )
     return QuarticClassification(category=_CATEGORY_BY_CODE[code], disc=d, disc1=d1, disc2=d2)
-
-
-def classify_rescaled(poly: RescaledCharPoly, tol=None) -> QuarticClassification:
-    return classify_quartic(*_quartic_standard(poly), tol=tol)
 
 
 def bnesq_leading_quartic(sym: DispersionSymbol, k: float) -> np.ndarray:
@@ -428,13 +369,7 @@ def bnesq_leading_quartic(sym: DispersionSymbol, k: float) -> np.ndarray:
 def bnesq_leading_discs(sym: DispersionSymbol, k: float) -> tuple[float, float]:
     """Leading-order (disc1, disc2) of the bidirectional pencil quartic."""
     p = bnesq_leading_quartic(sym, k)
-    return quartic_disc1(*p), quartic_disc2(*p)
-
-
-class PencilVerdict(enum.Enum):
-    UNSTABLE = "Unstable"
-    STABLE = "Stable"
-    DEGENERATE = "Degenerate"
+    return quartic_disc1(p), quartic_disc2(p)
 
 
 def pencil_verdicts(
@@ -443,27 +378,27 @@ def pencil_verdicts(
     report: IndexReport,
     xi: float = 1e-2,
     a: float = 1e-2,
-) -> list[PencilVerdict]:
+) -> list[Verdict]:
     """pencil_verdict at every k of an index report over a k-array.
 
     The k whose index is not degenerate go through one stacked pencil
     build, rescaled charpoly and classification.
     """
     live = report.verdict != Verdict.DEGENERATE
-    verdicts = np.full(live.shape, PencilVerdict.DEGENERATE, dtype=object)
+    verdicts = np.full(live.shape, Verdict.DEGENERATE, dtype=object)
     if np.any(live):
-        poly = rescaled_charpoly(build_pencil(kind, sym, report.k[live], xi, a))
+        p = rescaled_charpoly(build_pencil(kind, sym, report.k[live], xi, a))
         if kind is EquationKind.BBM:
-            disc = disc_cubic(poly)
-            degenerate = np.abs(disc) <= default_disc_tolerance(poly.d)
+            disc = disc_cubic(p)
+            degenerate = np.abs(disc) <= default_disc_tolerance(p)
             unstable = disc < 0
         else:
-            category = classify_rescaled(poly).category
+            category = classify_quartic(p).category
             degenerate = category == QuarticClass.DEGENERATE
             unstable = category != QuarticClass.FOUR_REAL
         verdicts[live] = np.select([degenerate, unstable],
-                                   [PencilVerdict.DEGENERATE, PencilVerdict.UNSTABLE],
-                                   PencilVerdict.STABLE)
+                                   [Verdict.DEGENERATE, Verdict.MODULATIONALLY_UNSTABLE],
+                                   Verdict.STABLE_NEAR_ORIGIN)
     return verdicts.tolist()
 
 
@@ -473,7 +408,7 @@ def pencil_verdict(
     k: float,
     xi: float = 1e-2,
     a: float = 1e-2,
-) -> PencilVerdict:
+) -> Verdict:
     """Stability verdict from the reduced pencil discriminants.
 
     Unidirectional: sign of the cubic discriminant.  Bidirectional:

@@ -107,8 +107,7 @@ def check_boussinesq_stability() -> CheckResult:
             failures.append(f"disc1({k}) = {d1} vs {ref1}")
         if abs(d2 - ref2) > 1e-10 * abs(ref2) or d2 >= 0:
             failures.append(f"disc2({k}) = {d2} vs {ref2}")
-        poly = rescaled_charpoly(pencil.build_bnesq_pencil(sym, k, 1e-3, 1e-3))
-        cls = pencil.classify_rescaled(poly)
+        cls = classify_quartic(rescaled_charpoly(pencil.build_bnesq_pencil(sym, k, 1e-3, 1e-3)))
         if cls.category is not QuarticClass.FOUR_REAL:
             failures.append(f"class({k}) = {cls.category.value}")
     return CheckResult(
@@ -149,8 +148,7 @@ def check_cubic_disc_identity() -> CheckResult:
     for k in (0.5, 1.0, 2.0, 4.0):
         i1, i2m, _, _, _ = base_indices(sym, k)
         for xi in (1e-3, 1e-2):
-            poly = rescaled_charpoly(build_bbm_pencil(sym, k, xi, 0.0))
-            disc = disc_cubic(poly)
+            disc = disc_cubic(rescaled_charpoly(build_bbm_pencil(sym, k, xi, 0.0)))
             ki1 = k * i1
 
             def closed_form(factor: float) -> float:
@@ -261,9 +259,9 @@ def check_quartic_classifier() -> CheckResult:
     coeffs = rng.normal(0.0, 1.0, size=(total, 5))  # row i: the i-th five draws
     coeffs[np.abs(coeffs[:, 0]) < 1e-3, 0] = 1.0
     scale = np.max(np.abs(coeffs), axis=1)
-    decisive = coeffs[np.abs(quartic_disc(*coeffs.T)) > 1e-8 * scale]
+    decisive = coeffs[np.abs(quartic_disc(coeffs)) > 1e-8 * scale]
     tested = len(decisive)
-    categories = classify_quartic(*decisive.T, tol=0.0).category
+    categories = classify_quartic(decisive, tol=0.0).category
     disagreements = int(np.sum(categories != _root_classification(decisive)))
     ok = disagreements == 0
     return CheckResult(

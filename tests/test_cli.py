@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from modwave.cli import _PENCIL_TO_INDEX, cmd_diagram, main
+from modwave.cli import cmd_diagram, main
 from modwave.config import RunConfig, load_config, merge_overrides
 from modwave.dispersion import fractional_symbol
 from modwave.errors import ConfigError
@@ -66,7 +66,7 @@ def test_index_boussinesq_fractional_matches_per_k(tmp_path):
     for k in RunConfig(k_range=(0.05, 3.0), k_steps=2001).k_values().tolist():
         verdict = ind(EquationKind.BOUSSINESQ, sym, k).verdict
         if verdict is Verdict.INCONCLUSIVE:
-            verdict = _PENCIL_TO_INDEX[pencil_verdict(EquationKind.BOUSSINESQ, sym, k)]
+            verdict = pencil_verdict(EquationKind.BOUSSINESQ, sym, k)
             sources.add(("pencil", verdict))
         else:
             sources.add(("index", verdict))
@@ -264,6 +264,16 @@ def test_config_round_trip():
     cfg = RunConfig(equation="bbm", symbol={"builtin": "bbm"}, k_range=(0.5, 3.0),
                     k_steps=11, a=0.02)
     assert RunConfig.parse(cfg.emit()) == cfg
+
+
+def test_config_grids_end_exactly_at_hi():
+    # lo + (n-1)*step overshoots hi on these two ranges; no other point moves
+    xis = RunConfig(xi_range=(0.037, 0.5), xi_steps=7).xi_values()
+    ks = RunConfig(k_range=(0.03, 3.0), k_steps=11).k_values()
+    for grid, lo, hi in ((xis, 0.037, 0.5), (ks, 0.03, 3.0)):
+        step = (hi - lo) / (grid.size - 1)
+        assert grid.tolist() == [lo + i * step for i in range(grid.size - 1)] + [hi]
+    assert RunConfig(k_range=(0.5, 0.5), k_steps=1).k_values().tolist() == [0.5]
 
 
 def test_config_rejects_unknown_field(tmp_path):

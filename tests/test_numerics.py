@@ -13,7 +13,6 @@ from modwave.numerics import (
     cos_to_full,
     eig_dense,
     find_root,
-    linear_grid,
     scan_roots,
     full_to_cos,
     poly_roots,
@@ -161,13 +160,6 @@ def test_scan_roots_table_rows_match_one_row_scans():
     assert scan_roots(f, grid, np.ones((2, grid.size))) == [[], []]
 
 
-def test_linear_grid_matches_the_stepwise_loop():
-    lo, hi, n = 0.1, 3.0, 2001
-    step = (hi - lo) / (n - 1)
-    assert linear_grid(lo, hi, n).tolist() == [lo + i * step for i in range(n)]
-    assert linear_grid(0.5, 0.5, 1).tolist() == [0.5]
-
-
 def test_eig_dense_diagonal():
     vals = eig_dense(np.diag([3.0, 1.0, 2.0]))
     assert_allclose(vals.real, [1.0, 2.0, 3.0], atol=1e-14)
@@ -194,7 +186,7 @@ def test_eig_vs_poly_roots_on_pencil(bbm):
     pencil = build_bbm_pencil(bbm, 1.0, 1e-2, 1e-2)
     lam_direct = np.linalg.eigvals(np.linalg.solve(pencil.i_matrix, pencil.b_matrix))
     poly = rescaled_charpoly(pencil)
-    lam_poly = -1j * pencil.xi * poly.roots()
+    lam_poly = -1j * pencil.xi * poly_roots(poly)
     assert_allclose(sorted(lam_direct, key=lambda z: (z.real, z.imag)),
                     sorted(lam_poly, key=lambda z: (z.real, z.imag)), atol=1e-12)
 

@@ -15,22 +15,21 @@ from modwave.errors import (
 from modwave.indices import Verdict, base_indices, ind
 from modwave.numerics import poly_roots, property_rng
 from modwave.pencil import (
-    PencilVerdict,
     QuarticClass,
+    ReducedPencil,
     bnesq_leading_discs,
     bnesq_leading_quartic,
     build_bbm_pencil,
     build_bnesq_pencil,
     build_pencil,
     classify_quartic,
-    classify_rescaled,
-    disc1,
-    disc2,
+    default_disc_tolerance,
     disc_cubic,
-    disc_quartic,
     pencil_verdict,
     pencil_verdicts,
     quartic_disc,
+    quartic_disc1,
+    quartic_disc2,
     rescaled_charpoly,
 )
 from modwave.stokes import EquationKind
@@ -61,7 +60,7 @@ def test_bbm_flat_state_roots(bbm):
             e = k * mp + 0.5 * k * k * mpp
             expected = sorted([k * mp + xi * e, k * mp - xi * e, 1.0 - m])
             poly = rescaled_charpoly(build_bbm_pencil(bbm, k, xi, 0.0))
-            got = sorted(poly.roots().real)
+            got = sorted(poly_roots(poly).real)
             assert_allclose(got, expected, atol=1e-12)
 
 
@@ -76,7 +75,7 @@ def test_bnesq_flat_state_quartic_coefficients(boussinesq):
             right = np.array([1.0, 2.0 * m, m * m - 1.0])
             expected = np.convolve(left, right)
             poly = rescaled_charpoly(build_bnesq_pencil(boussinesq, k, xi, 0.0))
-            assert_allclose(poly.standard_coefficients(), expected, atol=1e-13)
+            assert_allclose(poly, expected, atol=1e-13)
 
 
 def test_rescaled_coefficients_are_real(bbm, boussinesq):
@@ -129,13 +128,13 @@ def test_leading_quartic_roots_are_flat_state_limits(boussinesq):
 
 
 def test_classify_examples():
-    assert classify_quartic(1, 0, -5, 0, 4).category is QuarticClass.FOUR_REAL
-    assert classify_quartic(1, 0, 2, 0, 0.99).category is QuarticClass.TWO_PAIRS
-    assert classify_quartic(1, 0, -1, 0, -1).category is QuarticClass.TWO_REAL_ONE_PAIR
+    assert classify_quartic([1, 0, -5, 0, 4]).category is QuarticClass.FOUR_REAL
+    assert classify_quartic([1, 0, 2, 0, 0.99]).category is QuarticClass.TWO_PAIRS
+    assert classify_quartic([1, 0, -1, 0, -1]).category is QuarticClass.TWO_REAL_ONE_PAIR
     # double pair (x^2+1)^2 has disc = 0
-    assert classify_quartic(1, 0, 2, 0, 1).category is QuarticClass.DEGENERATE
+    assert classify_quartic([1, 0, 2, 0, 1]).category is QuarticClass.DEGENERATE
     with pytest.raises(LeadingZero):
-        classify_quartic(0, 1, 2, 3, 4)
+        classify_quartic([0, 1, 2, 3, 4])
 
 
 def test_classifier_agrees_with_root_oracle():
@@ -145,10 +144,10 @@ def test_classifier_agrees_with_root_oracle():
         coeffs = rng.normal(0.0, 1.0, size=5)
         if abs(coeffs[0]) < 1e-3:
             coeffs[0] = 1.0
-        disc = quartic_disc(*coeffs)
+        disc = quartic_disc(coeffs)
         if abs(disc) <= 1e-8 * np.max(np.abs(coeffs)):
             continue
-        cls = classify_quartic(*coeffs, tol=0.0)
+        cls = classify_quartic(coeffs, tol=0.0)
         roots = poly_roots(coeffs)
         n_real = int(np.sum(np.abs(roots.imag) <= 1e-7 * (1.0 + np.abs(roots))))
         expected = {4: QuarticClass.FOUR_REAL, 2: QuarticClass.TWO_REAL_ONE_PAIR,
@@ -177,14 +176,29 @@ def test_rescaled_requires_positive_xi(bbm):
         rescaled_charpoly(build_bbm_pencil(bbm, 1.0, 0.0, 0.01))
 
 
+def test_not_rescalable_names_first_k():
+    # B = diag(1, 0, 0) gives G = B/(-i xi) the imaginary eigenvalue i/xi,
+    # so det(L - G) has an imaginary coefficient; B = 0 is real
+    b = np.zeros((2, 3, 3), dtype=complex)
+    b[1, 0, 0] = 1.0
+    i_mat = np.tile(np.eye(3, dtype=complex), (2, 1, 1))
+    stack = ReducedPencil(EquationKind.BBM, np.array([1.0, 2.0]), 0.01, 0.0, b, i_mat)
+    with pytest.raises(NotRescalable, match=r"at k=2\.0$"):
+        rescaled_charpoly(stack)
+    assert np.array_equal(rescaled_charpoly(ReducedPencil(
+        EquationKind.BBM, 1.0, 0.01, 0.0, b[0], i_mat[0])), [1.0, 0.0, 0.0, 0.0])
+
+
 def test_degree_mismatch(bbm, boussinesq):
     cubic = rescaled_charpoly(build_bbm_pencil(bbm, 1.0, 0.01, 0.0))
     with pytest.raises(DegreeMismatch):
-        disc_quartic(cubic)
+        quartic_disc(cubic)
+    with pytest.raises(DegreeMismatch):
+        classify_quartic(cubic)
     quartic = rescaled_charpoly(build_bnesq_pencil(boussinesq, 1.0, 0.01, 0.0))
     with pytest.raises(DegreeMismatch):
         disc_cubic(quartic)
-    assert disc1(quartic) < 0 and disc2(quartic) < 0
+    assert quartic_disc1(quartic) < 0 and quartic_disc2(quartic) < 0
 
 
 def test_resonant_denominators_raise():
@@ -236,16 +250,16 @@ def test_four_real_agreement_bnesq(boussinesq, whitham):
             if not (report.ind > 0 and d1v < 0 and d2v < 0):
                 continue
             poly = rescaled_charpoly(build_bnesq_pencil(sym, k, 1e-2, 1e-2))
-            assert disc_quartic(poly) > 0
-            assert classify_rescaled(poly).category is QuarticClass.FOUR_REAL
+            assert quartic_disc(poly) > 0
+            assert classify_quartic(poly).category is QuarticClass.FOUR_REAL
 
 
 def test_pencil_verdicts(bbm, boussinesq):
-    assert pencil_verdict(EquationKind.BBM, bbm, 2.0) is PencilVerdict.UNSTABLE
-    assert pencil_verdict(EquationKind.BBM, bbm, 1.0) is PencilVerdict.STABLE
+    assert pencil_verdict(EquationKind.BBM, bbm, 2.0) is Verdict.MODULATIONALLY_UNSTABLE
+    assert pencil_verdict(EquationKind.BBM, bbm, 1.0) is Verdict.STABLE_NEAR_ORIGIN
     for k in (0.5, 1.0, 2.0, 5.0):
-        assert pencil_verdict(EquationKind.BOUSSINESQ, boussinesq, k) is PencilVerdict.STABLE
-    assert pencil_verdict(EquationKind.BBM, bbm, math.sqrt(3.0)) is PencilVerdict.DEGENERATE
+        assert pencil_verdict(EquationKind.BOUSSINESQ, boussinesq, k) is Verdict.STABLE_NEAR_ORIGIN
+    assert pencil_verdict(EquationKind.BBM, bbm, math.sqrt(3.0)) is Verdict.DEGENERATE
 
 
 def test_bbm_fractional_disc_threshold_matches_index(frac3):
@@ -261,16 +275,16 @@ def test_bbm_fractional_disc_threshold_matches_index(frac3):
 
 def test_pencil_verdict_fractional_far_from_origin(frac3):
     # disc = -1.6e21 with roots 77 +/- 13i, -43, -28: clearly a complex pair
-    assert pencil_verdict(EquationKind.BOUSSINESQ, frac3, 3.0) is PencilVerdict.UNSTABLE
+    assert pencil_verdict(EquationKind.BOUSSINESQ, frac3, 3.0) is Verdict.MODULATIONALLY_UNSTABLE
 
 
 def test_classify_elementwise_matches_scalar():
     rng = property_rng()
     coeffs = rng.normal(0.0, 1.0, size=(300, 5))
     coeffs[:, 0] += np.sign(coeffs[:, 0])
-    batch = classify_quartic(*coeffs.T)
+    batch = classify_quartic(coeffs)
     for i, row in enumerate(coeffs):
-        one = classify_quartic(*row)
+        one = classify_quartic(row)
         assert batch.category[i] is one.category
         assert (batch.disc[i], batch.disc1[i], batch.disc2[i]) == (one.disc, one.disc1, one.disc2)
 
@@ -285,14 +299,26 @@ def test_stacked_pencils_match_one_k(bbm, boussinesq, frac3):
         size = 3 if kind is EquationKind.BBM else 4
         stack = build_pencil(kind, sym, ks, 1e-2, 1e-2)
         assert stack.b_matrix.shape == stack.i_matrix.shape == (ks.size, size, size)
-        rows = rescaled_charpoly(stack).d
+        rows = rescaled_charpoly(stack)
         assert rows.shape == (ks.size, size + 1)
+        if kind is EquationKind.BBM:
+            discs, tols = disc_cubic(rows), default_disc_tolerance(rows)
+        else:
+            batch = classify_quartic(rows)
         for i, k in enumerate(ks.tolist()):
             one = build_pencil(kind, sym, k, 1e-2, 1e-2)
             assert one.b_matrix.shape == (size, size)
             assert np.array_equal(stack.b_matrix[i], one.b_matrix)
             assert np.array_equal(stack.i_matrix[i], one.i_matrix)
-            assert np.array_equal(rows[i], rescaled_charpoly(one).d), (kind, k)
+            p = rescaled_charpoly(one)
+            assert np.array_equal(rows[i], p), (kind, k)
+            if kind is EquationKind.BBM:
+                assert (discs[i], tols[i]) == (disc_cubic(p), default_disc_tolerance(p)), k
+            else:
+                cls = classify_quartic(p)
+                assert batch.category[i] is cls.category, (sym.name, k)
+                assert (batch.disc[i], batch.disc1[i], batch.disc2[i]) == (
+                    cls.disc, cls.disc1, cls.disc2), (sym.name, k)
         with pytest.raises(ValueError, match="single pencil"):
             stack.eigenvalues()
 
@@ -300,7 +326,7 @@ def test_stacked_pencils_match_one_k(bbm, boussinesq, frac3):
 def test_pencil_verdicts_grid(bbm):
     report = ind(EquationKind.BBM, bbm, np.array([1.0, math.sqrt(3.0), 2.0]))
     assert pencil_verdicts(EquationKind.BBM, bbm, report) == [
-        PencilVerdict.STABLE, PencilVerdict.DEGENERATE, PencilVerdict.UNSTABLE,
+        Verdict.STABLE_NEAR_ORIGIN, Verdict.DEGENERATE, Verdict.MODULATIONALLY_UNSTABLE,
     ]
 
 
