@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from typing import Sequence
 
@@ -194,7 +195,10 @@ def cmd_validate(cfg: RunConfig, args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every later call:
+    parse_args keeps no state on it, so one process builds it once."""
     parser = argparse.ArgumentParser(
         prog="modwave",
         description=(
@@ -273,8 +277,7 @@ _OVERRIDE_KEYS = (
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
         overrides = {key: getattr(args, key) for key in _OVERRIDE_KEYS if hasattr(args, key)}

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
 import numpy as np
@@ -125,11 +125,8 @@ def load_config(path: str) -> RunConfig:
 
 def merge_overrides(cfg: RunConfig, overrides: dict[str, Any]) -> RunConfig:
     """Apply non-None override values on top of a config; flags win."""
-    data = asdict(cfg)
-    for key, val in overrides.items():
-        if val is not None:
-            data[key] = val
+    changes = {key: val for key, val in overrides.items() if val is not None}
     for key in ("k_range", "xi_range", "alpha_range"):
-        if data.get(key) is not None:
-            data[key] = tuple(data[key])
-    return RunConfig(**data)
+        if key in changes:
+            changes[key] = tuple(changes[key])
+    return replace(cfg, **changes)

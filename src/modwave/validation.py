@@ -26,7 +26,6 @@ from .pencil import (
     build_bbm_pencil,
     classify_quartic,
     disc_cubic,
-    quartic_disc,
     rescaled_charpoly,
 )
 from .stokes import EquationKind, expansion_error, newton_wave
@@ -259,10 +258,10 @@ def check_quartic_classifier() -> CheckResult:
     coeffs = rng.normal(0.0, 1.0, size=(total, 5))  # row i: the i-th five draws
     coeffs[np.abs(coeffs[:, 0]) < 1e-3, 0] = 1.0
     scale = np.max(np.abs(coeffs), axis=1)
-    decisive = coeffs[np.abs(quartic_disc(coeffs)) > 1e-8 * scale]
-    tested = len(decisive)
-    categories = classify_quartic(decisive, tol=0.0).category
-    disagreements = int(np.sum(categories != _root_classification(decisive)))
+    cls = classify_quartic(coeffs, tol=0.0)
+    decisive = np.abs(cls.disc) > 1e-8 * scale
+    tested = int(np.count_nonzero(decisive))
+    disagreements = int(np.sum(cls.category[decisive] != _root_classification(coeffs[decisive])))
     ok = disagreements == 0
     return CheckResult(
         "quartic-classifier", ok,

@@ -2,10 +2,15 @@ import argparse
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from modwave.cli import cmd_diagram, main
+import modwave
+from modwave.cli import build_parser, cmd_diagram, main
 from modwave.config import RunConfig, load_config, merge_overrides
 from modwave.dispersion import fractional_symbol
 from modwave.errors import ConfigError
@@ -337,3 +342,60 @@ def test_spectrum_rows_ordered_by_re_then_im(tmp_path):
         assert growing == [] or (len(growing) == 2 and growing[0] == -growing[1])
         off_axis.append(len(growing))
     assert off_axis == [2, 2, 0, 0, 0]
+
+
+def test_parser_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_cached_parser_restores_defaults(tmp_path):
+    out = tmp_path / "index.csv"
+    args = ["index", "--equation", "bbm", "--symbol", "bbm", "--k-range", "0.5", "3",
+            "-o", str(out)]
+    assert run(args + ["--k-steps", "11"]) == 0
+    assert len(read(out).splitlines()) == 1 + 11
+    assert run(args) == 0
+    assert len(read(out).splitlines()) == 1 + 101
+
+
+def test_cached_parser_does_not_accumulate_params(tmp_path):
+    def index(alpha, name):
+        out = tmp_path / name
+        assert run(["index", "--equation", "bbm", "--expr", "1+abs(k)^alpha",
+                    "--param", f"alpha={alpha}", "--k-range", "0.5", "3",
+                    "--k-steps", "11", "-o", str(out)]) == 0
+        return out.read_bytes()
+
+    first = index(3.5, "first.csv")
+    assert index(2.5, "other.csv") != first
+    assert index(3.5, "again.csv") == first
+    args = build_parser().parse_args(["index", "--expr", "k", "--param", "alpha=3.5"])
+    assert args.param == ["alpha=3.5"]
+
+
+def test_cached_parser_after_usage_error(tmp_path, capsys):
+    args = ["index", "--equation", "bbm", "--symbol", "bbm", "--k-range", "0.5", "3",
+            "--k-steps", "40", "-o"]
+    assert run(args + [str(tmp_path / "before.csv")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        run(["index", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert "--no-such-flag" in capsys.readouterr().err
+    assert run(args + [str(tmp_path / "after.csv")]) == 0
+    assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "before.csv").read_bytes()
+
+
+def test_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == 0
+    assert "{index,diagram,spectrum,wave,resonances,validate}" in capsys.readouterr().out
+
+
+def test_python_dash_m_modwave(tmp_path):
+    src = str(Path(modwave.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "modwave", "validate", "--only", "bbm-threshold"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert any(line.startswith("[PASS] bbm-threshold") for line in proc.stdout.splitlines())
