@@ -74,9 +74,14 @@ def assemble(
     bidirectional, unknowns (u_n, q_n) interleaved per mode, a 2 x 2
     block per mode pair:  [[c d_nm, m^2(ks) d_nm], [d_nm + 2 w_{n-m}, c d_nm]],
     both rows of the block scaled by n+xi.
+
+    ``sym`` must be the symbol object the wave was solved with, since
+    ``spectrum`` reads ``wave.sym``; another one raises ValueError.
     """
     if wave.kind is not kind:
         raise ValueError(f"wave solves {wave.kind}, requested {kind}")
+    if sym is not wave.sym:
+        raise ValueError("sym is not the symbol the wave was solved with")
     if n_modes < wave.n_modes:
         raise TruncationTooSmall(
             f"operator truncation {n_modes} below the wave's {wave.n_modes}"
@@ -164,6 +169,65 @@ class CollisionPoint:
     branch2: int = -1
 
 
+@dataclass(frozen=True)
+class _CollisionLayout:
+    """The layout of a collision scan: the (mode, branch) combinations it
+    compares, the sorted (mode, branch) rows they draw on (as columns
+    n_col, s_col), the two rows of each combination, and the xi grid.
+    It depends on the pairs only, not on k."""
+
+    combos: list
+    n_col: np.ndarray
+    s_col: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+    xi_grid: np.ndarray
+
+    def sample(self, sym: DispersionSymbol, k: float) -> np.ndarray:
+        """Frequency differences at k, a row per combination: the
+        frequencies of every row sampled once, as one (branch x xi) table."""
+        table = omega(sym, k, self.n_col, self.xi_grid, self.s_col)
+        return table[self.first] - table[self.second]
+
+
+def _collision_layout(kind: EquationKind, n_range, xi_steps: int, pairs) -> _CollisionLayout:
+    ns = sorted(set(int(n) for n in n_range))
+    if pairs is not None:
+        pairs = [(int(n1), int(n2)) for n1, n2 in pairs]
+    if kind is EquationKind.BOUSSINESQ:
+        branches = [(n, s) for n in ns for s in (+1, -1)]
+        # combinations of the sorted branches keep n1 <= n2
+        wanted = None if pairs is None else {tuple(sorted(p)) for p in pairs}
+        combos = [(b1, b2) for b1, b2 in itertools.combinations(branches, 2)
+                  if wanted is None or (b1[0], b2[0]) in wanted]
+    elif kind is EquationKind.BBM:
+        if pairs is None:
+            pairs = list(itertools.combinations(ns, 2))
+        selfs = [p for p in pairs if p[0] == p[1]]
+        if selfs:
+            raise ValueError(f"mode pairs {selfs} pair a mode with itself")
+        combos = [((n1, -1), (n2, -1)) for n1, n2 in pairs]
+    else:
+        raise UnsupportedKind("collision scan supports the BBM-type and bidirectional kinds")
+    rows, pick = np.unique(np.array(combos, dtype=int).reshape(-1, 2), axis=0,
+                           return_inverse=True)
+    first, second = pick.reshape(-1, 2).T
+    n_col, s_col = rows.T[:, :, None]
+    return _CollisionLayout(combos, n_col, s_col, first, second,
+                           np.linspace(1e-6, 0.5, xi_steps))
+
+
+def _end_zeros(vals: np.ndarray) -> np.ndarray:
+    """Rows whose last sample (xi = 1/2) is zero to round-off."""
+    return np.abs(vals[:, -1]) <= 1e-12 * np.maximum(1.0, np.max(np.abs(vals), axis=1))
+
+
+def _collides(vals: np.ndarray) -> bool:
+    """Whether collision_scan finds anything in these samples: a strict
+    sign change (each is refined to a root) or a zero at xi = 1/2."""
+    return bool(np.any(vals[:, :-1] * vals[:, 1:] < 0.0) or np.any(_end_zeros(vals)))
+
+
 def collision_scan(
     kind: EquationKind,
     sym: DispersionSymbol,
@@ -189,41 +253,18 @@ def collision_scan(
     samples sit on the trivial common zero tail of all branches as
     xi -> 0.
     """
-    ns = sorted(set(int(n) for n in n_range))
-    if pairs is not None:
-        pairs = [(int(n1), int(n2)) for n1, n2 in pairs]
-    if kind is EquationKind.BOUSSINESQ:
-        branches = [(n, s) for n in ns for s in (+1, -1)]
-        # combinations of the sorted branches keep n1 <= n2
-        wanted = None if pairs is None else {tuple(sorted(p)) for p in pairs}
-        combos = [(b1, b2) for b1, b2 in itertools.combinations(branches, 2)
-                  if wanted is None or (b1[0], b2[0]) in wanted]
-    elif kind is EquationKind.BBM:
-        if pairs is None:
-            pairs = list(itertools.combinations(ns, 2))
-        selfs = [p for p in pairs if p[0] == p[1]]
-        if selfs:
-            raise ValueError(f"mode pairs {selfs} pair a mode with itself")
-        combos = [((n1, -1), (n2, -1)) for n1, n2 in pairs]
-    else:
-        raise UnsupportedKind("collision scan supports the BBM-type and bidirectional kinds")
-    if not combos:
+    layout = _collision_layout(kind, n_range, xi_steps, pairs)
+    if not layout.combos:
         return ()
-    # the (mode, branch) rows in sorted order, and the two rows of each combination
-    rows, pick = np.unique(np.array(combos).reshape(-1, 2), axis=0, return_inverse=True)
-    first, second = pick.reshape(-1, 2).T
-    n_col, s_col = rows.T[:, :, None]
-    xi_grid = np.linspace(1e-6, 0.5, xi_steps)
-    table = omega(sym, k, n_col, xi_grid, s_col)
-    vals = table[first] - table[second]
+    first, second, n_col, s_col = layout.first, layout.second, layout.n_col, layout.s_col
+    vals = layout.sample(sym, k)
     hits = scan_roots(lambda x: (omega(sym, k, n_col[first], x, s_col[first])
                                  - omega(sym, k, n_col[second], x, s_col[second])),
-                      xi_grid, vals, tol=1e-12)
-    at_end = np.abs(vals[:, -1]) <= 1e-12 * np.maximum(1.0, np.max(np.abs(vals), axis=1))
+                      layout.xi_grid, vals, tol=1e-12)
     found: list[CollisionPoint] = []
-    for ((n1, s1), (n2, s2)), xs, end in zip(combos, hits, at_end.tolist()):
+    for ((n1, s1), (n2, s2)), xs, end in zip(layout.combos, hits, _end_zeros(vals).tolist()):
         merged: list[float] = []
-        for x in sorted(xs + [float(xi_grid[-1])] * end):
+        for x in sorted(xs + [float(layout.xi_grid[-1])] * end):
             if not merged or x - merged[-1] > 1e-9:
                 merged.append(x)
         found += [CollisionPoint(x, n1, n2, s1, s2) for x in merged]
@@ -243,11 +284,16 @@ def min_collision_k(
 
     Bisection on the collision indicator; assumes the collision set of
     each pair is an up-set in k (true for monotone symbol families).
+    The (mode, branch) rows, the pair indices and the xi grid are laid
+    out once; each probe samples the frequency-difference table at its
+    k and tests it for a strict sign change or a zero at xi = 1/2, which
+    is exactly when ``collision_scan`` reports a collision there, so no
+    root is refined.
     """
-    ns = sorted({n for p in pairs for n in p})
+    layout = _collision_layout(kind, {n for p in pairs for n in p}, xi_steps, pairs)
 
     def has(k_val: float) -> bool:
-        return bool(collision_scan(kind, sym, k_val, ns, xi_steps, pairs=pairs))
+        return bool(layout.combos) and _collides(layout.sample(sym, k_val))
 
     lo, hi = k_range
     if has(lo):
@@ -274,6 +320,8 @@ class PencilMatchRow:
     a: float
     mismatch: float
     mismatch_over_xi: float
+    max_re: float  # of the whole Bloch slice the pencil was matched against
+    cluster_gap: float  # modulus gap between the matched cluster and the rest
 
 
 @dataclass(frozen=True)
@@ -301,19 +349,29 @@ def match_pencil_once(
     xi: float,
     a: float,
     n_modes: int = 32,
-) -> float:
-    """Max distance between near-origin Bloch eigenvalues and pencil roots."""
+) -> PencilMatchRow:
+    """Match the reduced pencil's roots to the Bloch eigenvalues nearest
+    the origin at one (xi, a).
+
+    The row records the max distance of the best assignment, the same
+    over xi, the slice's largest real part (the whole spectrum's, so a
+    caller needs no second eigensolve for the stability sign) and the
+    cluster gap: how far the first eigenvalue outside the matched cluster
+    lies beyond it in modulus (inf when the cluster is the whole
+    spectrum).  MatchFailure is raised when the mismatch exceeds half
+    that gap, because the assignment is then not trustworthy.
+    """
     wave = newton_wave(kind, sym, k, a, n_modes)
-    vals = spectrum(assemble(kind, sym, wave, xi, n_modes)).eigenvalues
-    pencil = build_pencil(kind, sym, k, xi, a)
-    proots = pencil.eigenvalues()
+    sl = spectrum(assemble(kind, sym, wave, xi, n_modes))
+    vals = sl.eigenvalues
+    proots = build_pencil(kind, sym, k, xi, a).eigenvalues()
     count = proots.size
     order = np.argsort(np.abs(vals))
     near = vals[order[:count]]
     mismatch = _best_assignment(near, proots)
-    # the assignment is trustworthy only while the matched cluster stays
-    # separated from the rest of the spectrum (near-double roots inside the
-    # cluster are harmless: swapping them does not change the metric)
+    # near-double roots inside the cluster are harmless: swapping them
+    # does not change the metric
+    gap = math.inf
     if vals.size > count:
         gap = float(np.abs(vals[order[count]]) - np.max(np.abs(near)))
         if mismatch > 0.5 * max(gap, 0.0):
@@ -321,7 +379,7 @@ def match_pencil_once(
                 f"assignment residual {mismatch:.3e} exceeds half the cluster "
                 f"gap {gap:.3e} at (k={k}, xi={xi}, a={a})"
             )
-    return mismatch
+    return PencilMatchRow(xi, a, mismatch, mismatch / xi, sl.max_re, gap)
 
 
 def validate_pencil(
@@ -338,10 +396,8 @@ def validate_pencil(
     pencil is validated when the relative mismatch decays superlinearly
     along (xi, a) -> 0.
     """
-    rows = []
-    for xi, a in zip(xi_list, a_list):
-        mm = match_pencil_once(kind, sym, k, float(xi), float(a), n_modes)
-        rows.append(PencilMatchRow(float(xi), float(a), mm, mm / float(xi)))
+    rows = [match_pencil_once(kind, sym, k, float(xi), float(a), n_modes)
+            for xi, a in zip(xi_list, a_list)]
     factors = tuple(
         rows[i].mismatch_over_xi / rows[i + 1].mismatch_over_xi
         for i in range(len(rows) - 1)

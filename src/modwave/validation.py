@@ -92,10 +92,17 @@ def check_collision_floor() -> CheckResult:
 
 def check_boussinesq_stability() -> CheckResult:
     sym = boussinesq_symbol()
+    ks = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+    reports = ind(EquationKind.BOUSSINESQ, sym, np.array(ks))
+    live = (reports.i_eq > 0) & (reports.ind > 0)
+    # the k that pass the index test, classified in one stacked pencil pass
+    category = np.full(len(ks), None, dtype=object)
+    category[live] = classify_quartic(rescaled_charpoly(
+        pencil.build_bnesq_pencil(sym, reports.k[live], 1e-3, 1e-3))).category
     failures = []
-    for k in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
-        report = ind(EquationKind.BOUSSINESQ, sym, k)
-        if not report.i_eq > 0 or not report.ind > 0:
+    for j, k in enumerate(ks):
+        report = reports[j]
+        if not live[j]:
             failures.append(f"ind({k}) = {report.ind}")
             continue
         gs = report.i2m + 1.0  # (k m)' = i2- + 1
@@ -106,9 +113,8 @@ def check_boussinesq_stability() -> CheckResult:
             failures.append(f"disc1({k}) = {d1} vs {ref1}")
         if abs(d2 - ref2) > 1e-10 * abs(ref2) or d2 >= 0:
             failures.append(f"disc2({k}) = {d2} vs {ref2}")
-        cls = classify_quartic(rescaled_charpoly(pencil.build_bnesq_pencil(sym, k, 1e-3, 1e-3)))
-        if cls.category is not QuarticClass.FOUR_REAL:
-            failures.append(f"class({k}) = {cls.category.value}")
+        if category[j] is not QuarticClass.FOUR_REAL:
+            failures.append(f"class({k}) = {category[j].value}")
     return CheckResult(
         "boussinesq-stability", not failures,
         "all six wave numbers positive-index, leading discs match, FourReal"
@@ -142,12 +148,17 @@ def check_fractional_threshold() -> CheckResult:
 
 def check_cubic_disc_identity() -> CheckResult:
     sym = bbm_symbol()
+    ks = (0.5, 1.0, 2.0, 4.0)
+    i1s, i2ms, _, _, _ = base_indices(sym, np.array(ks))
+    discs = {xi: disc_cubic(rescaled_charpoly(build_bbm_pencil(sym, np.array(ks), xi, 0.0)))
+             for xi in (1e-3, 1e-2)}
     worst = 0.0
     worst_fixed = 0.0
-    for k in (0.5, 1.0, 2.0, 4.0):
-        i1, i2m, _, _, _ = base_indices(sym, k)
+    for j, k in enumerate(ks):
+        # Python floats: the closed forms below round as scalar arithmetic
+        i1, i2m = float(i1s[j]), float(i2ms[j])
         for xi in (1e-3, 1e-2):
-            disc = disc_cubic(rescaled_charpoly(build_bbm_pencil(sym, k, xi, 0.0)))
+            disc = float(discs[xi][j])
             ki1 = k * i1
 
             def closed_form(factor: float) -> float:
@@ -188,9 +199,7 @@ def check_hill_cross_validation() -> CheckResult:
         val = hill.validate_pencil(kind, sym, k, steps, steps, n_modes=32)
         if not all(f >= 3.0 for f in val.decay_factors):
             failures.append(f"{kind.value} k={k}: decay factors {val.decay_factors}")
-        wave = newton_wave(kind, sym, k, 1e-2, 32)
-        op = hill.assemble(kind, sym, wave, 1e-2, 32)
-        max_re = hill.spectrum(op).max_re
+        max_re = val.rows[-1].max_re  # the slice at xi = a = 1e-2
         unstable = max_re > 1e-8
         if unstable != expect_unstable:
             failures.append(f"{kind.value} k={k}: max_re = {max_re}")

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -238,6 +239,17 @@ def test_validate_subset(capsys):
 
 def test_validate_unknown_subset(capsys):
     assert run(["validate", "--only", "zzz"]) == 2
+
+
+def test_validate_twice_in_process_prints_the_same(capsys):
+    outputs = []
+    for _ in range(2):
+        assert run(["validate"]) == 1
+        outputs.append(re.sub(r"\(\d+\.\d\d s\)", "(x.xx s)", capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    failed = [line.split()[1].rstrip(":") for line in outputs[0].splitlines()
+              if line.startswith("[FAIL]")]
+    assert failed == ["bbm-collision-floor", "cubic-disc-identity"]
 
 
 def test_expr_symbol(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from modwave import hill
 from modwave.dispersion import eval_m
 from modwave.errors import TruncationTooSmall, UnsupportedKind
 from modwave.hill import (
@@ -133,6 +134,12 @@ def test_wave_kind_mismatch(kind, bbm):
         assemble(kind, bbm, wave, 0.1, 16)
 
 
+def test_assemble_rejects_a_symbol_other_than_the_waves(bbm, frac2):
+    wave = newton_wave(EquationKind.BBM, bbm, 1.0, 0.01, 16)
+    with pytest.raises(ValueError, match="symbol"):
+        assemble(EquationKind.BBM, frac2, wave, 0.1, 16)
+
+
 def test_truncation_robustness(bbm, boussinesq):
     for kind, sym, k in (
         (EquationKind.BBM, bbm, 1.0),
@@ -165,12 +172,30 @@ def test_no_collisions_at_small_k(bbm):
     assert collision_scan(EquationKind.BBM, bbm, 1.0, range(-8, 2)) == ()
 
 
-def test_min_collision_k(bbm):
+def test_min_collision_k(bbm, boussinesq):
     pairs = [(0, n) for n in range(-8, -1)]
     measured = min_collision_k(bbm, pairs, (1.0, 3.0))
-    assert measured == pytest.approx(2.0, abs=1e-8)
+    assert measured == 2.0
     # every collision in the family sits above the analytic floor
     assert measured >= 2.0 * math.sqrt(3.0 / 5.0)
+    # the float a bisection on bool(collision_scan(...)) returns
+    assert min_collision_k(boussinesq, [(-3, -1)], (0.01, 3.0),
+                           kind=EquationKind.BOUSSINESQ) == 0.8521985621168278
+
+
+@pytest.mark.parametrize("kind, pairs, k_range", [
+    (EquationKind.BBM, [(0, n) for n in range(-8, -1)], (1.0, 3.0)),
+    (EquationKind.BOUSSINESQ, [(-3, -1)], (0.01, 3.0)),
+], ids=lambda v: getattr(v, "value", None))
+def test_collision_indicator_is_a_nonempty_scan(kind, pairs, k_range, bbm, boussinesq):
+    sym = bbm if kind is EquationKind.BBM else boussinesq
+    modes = sorted({n for p in pairs for n in p})
+    layout = hill._collision_layout(kind, modes, 512, pairs)
+    indicator = [hill._collides(layout.sample(sym, k)) for k in np.linspace(*k_range, 401)]
+    scanned = [bool(collision_scan(kind, sym, k, modes, pairs=pairs))
+               for k in np.linspace(*k_range, 401)]
+    assert indicator == scanned
+    assert any(scanned) and not all(scanned)
 
 
 @pytest.mark.parametrize("k, xi, modes", [
@@ -241,6 +266,22 @@ def test_validate_pencil_decay(bbm):
     val = validate_pencil(EquationKind.BBM, bbm, 2.0, (4e-2, 2e-2, 1e-2), (4e-2, 2e-2, 1e-2))
     assert all(f >= 3.0 for f in val.decay_factors)
     assert val.rows[-1].mismatch_over_xi < val.rows[0].mismatch_over_xi
+
+
+@pytest.mark.parametrize("kind, name, k", [
+    (EquationKind.BBM, "bbm", 1.0), (EquationKind.BBM, "bbm", 2.0),
+    (EquationKind.BOUSSINESQ, "boussinesq", 1.0),
+], ids=lambda v: getattr(v, "value", v))
+def test_cross_validation_rows(kind, name, k, request):
+    """The rows of validate's hill-cross-validation scenarios: each match
+    stays within half its cluster gap, and each row's max_re is that of
+    a fresh eigensolve of the same slice, bit for bit."""
+    sym = request.getfixturevalue(name)
+    steps = (4e-2, 2e-2, 1e-2)
+    for row in validate_pencil(kind, sym, k, steps, steps, n_modes=32).rows:
+        assert row.mismatch <= 0.5 * row.cluster_gap
+        wave = newton_wave(kind, sym, k, row.a, 32)
+        assert row.max_re == spectrum(assemble(kind, sym, wave, row.xi, 32)).max_re
 
 
 def test_validate_pencil_flat_state(bbm):
