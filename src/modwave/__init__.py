@@ -13,7 +13,6 @@ from .dispersion import (
     group_speed,
     jet_m,
     parse_symbol,
-    phase_speed,
     symbol_from_config,
     whitham_symbol,
 )
@@ -22,7 +21,6 @@ from .hill import (
     SpectrumSlice,
     assemble,
     collision_scan,
-    growth_curve,
     min_collision_k,
     spectrum,
     validate_pencil,
@@ -33,9 +31,6 @@ from .indices import (
     base_indices,
     critical_wavenumber,
     find_resonances,
-    i_bbm,
-    i_bnesq,
-    i_kdv,
     ind,
 )
 from .pencil import (

@@ -23,17 +23,31 @@ from .indices import Verdict
 from .stokes import EquationKind, newton_wave
 
 
+def _param_values(pairs) -> dict[str, float]:
+    """The --param name=value pairs as a dict; a later name wins."""
+    try:
+        return {name: float(value) for name, value in (p.split("=", 1) for p in pairs or [])}
+    except ValueError:  # a pair without "=", or a value that is not a number
+        raise ConfigError("param", f"expected name=number pairs, got {pairs}") from None
+
+
+def _declared_symbol(spec: dict) -> DispersionSymbol:
+    try:
+        return symbol_from_config(spec)
+    except (KeyError, TypeError) as exc:  # an unknown builtin, or its parameters wrong
+        raise ConfigError("symbol", exc.args[0]) from None
+
+
 def _resolve_symbol(cfg: RunConfig, args) -> DispersionSymbol:
     if getattr(args, "expr", None):
-        params = dict(p.split("=", 1) for p in (getattr(args, "param", None) or []))
-        sym = parse_symbol(args.expr, {k: float(v) for k, v in params.items()})
+        sym = parse_symbol(args.expr, _param_values(getattr(args, "param", None)))
     elif getattr(args, "symbol", None):
         spec: dict = {"builtin": args.symbol}
         if getattr(args, "alpha", None) is not None:
             spec["params"] = {"alpha": args.alpha}
-        sym = symbol_from_config(spec)
+        sym = _declared_symbol(spec)
     elif cfg.symbol:
-        sym = symbol_from_config(cfg.symbol)
+        sym = _declared_symbol(cfg.symbol)
     else:
         raise ConfigError("symbol", "need --symbol, --expr, or a config entry")
     for warning in sym.warnings:
@@ -269,11 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_OVERRIDE_KEYS = (
-    "equation", "k", "k_range", "k_steps", "a", "xi", "xi_range", "xi_steps",
-    "n_modes", "n_max", "tol", "alpha_range", "alpha_steps", "output",
-    "summary", "svg", "only",
-)
+#: every config field a flag can set: all but the symbol, which _resolve_symbol reads
+_OVERRIDE_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig) if f.name != "symbol")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -113,11 +113,13 @@ class RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("<file>", f"invalid JSON in {path}: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError("<file>", f"cannot read {path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError("<file>", f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("<file>", "top-level JSON value must be an object")
     return RunConfig.parse(data)

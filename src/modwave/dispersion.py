@@ -10,7 +10,7 @@ m(0)=1, power-law tails, absence of harmonic resonances m(k)=m(nk)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -32,20 +32,17 @@ class DispersionSymbol:
     supplied, at any sign of k (used for evenness checks); every built-in
     and expression takes it from the jet, so no formula is written twice.
     Public evaluation goes through :func:`eval_m` and :func:`jet_m`, which
-    symmetrize to |k|.  ``alpha`` is the nominal growth exponent of the
-    large-k tail when known, ``params`` any named parameters of the family.
+    symmetrize to |k|.
     """
 
     name: str
     raw: Callable[[ArrayLike], np.ndarray]
     jet: Callable[[ArrayLike], Jet]
-    alpha: float | None = None
-    params: dict[str, float] = field(default_factory=dict)
     warnings: tuple[str, ...] = ()
 
 
-def _from_jet(name: str, jet: Callable[[ArrayLike], Jet], **kwargs) -> DispersionSymbol:
-    return DispersionSymbol(name=name, raw=lambda k: jet(k)[0], jet=jet, **kwargs)
+def _from_jet(name: str, jet: Callable[[ArrayLike], Jet], warnings=()) -> DispersionSymbol:
+    return DispersionSymbol(name=name, raw=lambda k: jet(k)[0], jet=jet, warnings=warnings)
 
 
 def _require_finite(k: np.ndarray, ok: np.ndarray, message: Callable[[float], str]) -> None:
@@ -76,11 +73,6 @@ def jet_m(sym: DispersionSymbol, k: ArrayLike) -> Jet:
                     f"{tuple(np.asarray(c).tolist() for c in sym.jet(abs(bad)))}",
     )
     return unbox(m), unbox(np.where(k < 0, -m1, m1)), unbox(m2)
-
-
-def phase_speed(sym: DispersionSymbol, k: ArrayLike):
-    """Phase speed of the plane wave with wave number k; equals m(k)."""
-    return eval_m(sym, k)
 
 
 def group_speed(sym: DispersionSymbol, k: ArrayLike):
@@ -148,7 +140,7 @@ def bbm_symbol() -> DispersionSymbol:
         q = 1.0 + k * k
         return 1.0 / q, -2.0 * k / np.float_power(q, 2), (6.0 * k * k - 2.0) / np.float_power(q, 3)
 
-    return _from_jet("bbm", jet, alpha=-2.0)
+    return _from_jet("bbm", jet)
 
 
 def boussinesq_symbol() -> DispersionSymbol:
@@ -160,7 +152,7 @@ def boussinesq_symbol() -> DispersionSymbol:
         return (np.float_power(q, -0.5), -k * np.float_power(q, -1.5),
                 (2.0 * k * k - 1.0) * np.float_power(q, -2.5))
 
-    return _from_jet("boussinesq", jet, alpha=-1.0)
+    return _from_jet("boussinesq", jet)
 
 
 def fractional_symbol(alpha) -> DispersionSymbol:
@@ -182,7 +174,7 @@ def fractional_symbol(alpha) -> DispersionSymbol:
             return m, np.where(k < 0.0, -alpha * p1, alpha * p1), alpha * (alpha - 1.0) * p2
 
     name = f"fractional(alpha={alpha:g})" if np.ndim(alpha) == 0 else "fractional(alpha per row)"
-    return _from_jet(name, jet, alpha=alpha, params={"alpha": alpha})
+    return _from_jet(name, jet)
 
 
 def _whitham_jet(k: ArrayLike) -> Jet:
@@ -203,7 +195,7 @@ def _whitham_jet(k: ArrayLike) -> Jet:
 
 def whitham_symbol() -> DispersionSymbol:
     """m(k) = sqrt(tanh(k)/k), with m(0) = 1 by the Taylor limit."""
-    return _from_jet("whitham", _whitham_jet, alpha=-0.5)
+    return _from_jet("whitham", _whitham_jet)
 
 
 _BUILTINS: dict[str, Callable[..., DispersionSymbol]] = {
@@ -465,7 +457,7 @@ def parse_symbol(expr: str, params: dict[str, float] | None = None) -> Dispersio
     if odd.size:
         warnings.append(f"evenness violated: m({-_PROBE_GRID[stop]}) != m({_PROBE_GRID[stop]})")
 
-    return _from_jet(f"expr[{expr}]", jet, params=params, warnings=tuple(warnings))
+    return _from_jet(f"expr[{expr}]", jet, warnings=tuple(warnings))
 
 
 def symbol_from_config(spec: dict) -> DispersionSymbol:

@@ -141,10 +141,8 @@ def spectrum(op: BlochOperator) -> SpectrumSlice:
     )
 
 
-def zero_multiplicity(op: BlochOperator | SpectrumSlice, radius: float = 1e-8) -> int:
-    """Number of eigenvalues within the given modulus of the origin, of an
-    operator or of its spectrum already computed."""
-    sl = op if isinstance(op, SpectrumSlice) else spectrum(op)
+def zero_multiplicity(sl: SpectrumSlice, radius: float = 1e-8) -> int:
+    """Number of eigenvalues of a spectrum within the given modulus of the origin."""
     return int(np.sum(np.abs(sl.eigenvalues) <= radius))
 
 
@@ -310,7 +308,7 @@ def min_collision_k(
 
 
 # ---------------------------------------------------------------------------
-# Pencil cross-validation and growth curves
+# Pencil cross-validation
 # ---------------------------------------------------------------------------
 
 
@@ -404,34 +402,3 @@ def validate_pencil(
         if rows[i + 1].mismatch_over_xi > 0
     )
     return PencilValidation(kind=kind, k=k, rows=tuple(rows), decay_factors=factors)
-
-
-@dataclass(frozen=True)
-class GrowthPoint:
-    xi: float
-    max_re: float
-    refined_ok: bool
-
-
-def growth_curve(
-    kind: EquationKind,
-    sym: DispersionSymbol,
-    k: float,
-    a: float,
-    xi_grid,
-    n_modes: int = 32,
-    refine_tol: float = 1e-6,
-) -> tuple[GrowthPoint, ...]:
-    """Largest spectral real part per Floquet exponent.
-
-    Each point is recomputed at doubled truncation; refined_ok records
-    whether the value moved by less than refine_tol.
-    """
-    wave = newton_wave(kind, sym, k, a, n_modes)
-    wave2 = newton_wave(kind, sym, k, a, 2 * n_modes)
-    out = []
-    for xi in xi_grid:
-        re1 = spectrum(assemble(kind, sym, wave, float(xi), n_modes)).max_re
-        re2 = spectrum(assemble(kind, sym, wave2, float(xi), 2 * n_modes)).max_re
-        out.append(GrowthPoint(float(xi), re1, abs(re1 - re2) <= refine_tol))
-    return tuple(out)

@@ -119,25 +119,6 @@ def _columns(kind: EquationKind, sym: DispersionSymbol, k):
     return (*base, i_eq, value, denom)
 
 
-def i_kdv(sym: DispersionSymbol, k):
-    """2 i3- + i2-."""
-    return equation_index(EquationKind.KDV, sym, k)
-
-
-def i_bbm(sym: DispersionSymbol, k):
-    """2 i3- + m(2k) i2-."""
-    return equation_index(EquationKind.BBM, sym, k)
-
-
-def i_bnesq(sym: DispersionSymbol, k):
-    """2 i3- i3+ + m^2(2k) i2- i2+."""
-    return equation_index(EquationKind.BOUSSINESQ, sym, k)
-
-
-def equation_index(kind: EquationKind, sym: DispersionSymbol, k):
-    return unbox(_combine(kind, *_base(sym, k)))
-
-
 def ind(kind: EquationKind, sym: DispersionSymbol, k) -> IndexReport:
     """Full index evaluation with verdict and active resonance flags.
 

@@ -2,10 +2,9 @@
 
 Bracketed root finding over an array of brackets, a root scan that
 refines the sign changes of a table its caller sampled by one array
-call, companion-matrix polynomial roots,
-a dense eigensolver wrapper, and cosine-series helpers used by the wave
-solver and the Bloch operator assembly: conversion between cosine and
-full-line coefficients (padded to any mode window), products by
+call, a dense eigensolver wrapper, and cosine-series helpers used by the
+wave solver and the Bloch operator assembly: conversion between cosine
+and full-line coefficients (padded to any mode window), products by
 convolution, and the closed-form Toeplitz-plus-Hankel multiplication
 table.  All routines are pure and deterministic; property tests draw
 samples from a fixed-seed generator.
@@ -13,11 +12,11 @@ samples from a fixed-seed generator.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import EigenFailure, LeadingZero, NoBracket, NoConvergence
+from .errors import EigenFailure, NoBracket, NoConvergence
 
 # Fixed seed for every randomized property test in the suite.
 PROPERTY_TEST_SEED = 0x5EED_0D15_9E45_0001
@@ -130,25 +129,6 @@ def scan_roots(
     zero[:, :-1] |= cross
     roots = [r[hit].tolist() for r, hit in zip(found, zero)]
     return roots if np.ndim(vals) == 2 else roots[0]
-
-
-def poly_roots(coeffs: Sequence[complex]) -> np.ndarray:
-    """All roots of sum(coeffs[i] * x^(n-i)) via the companion matrix.
-
-    Coefficients are highest degree first.  The leading coefficient must be
-    nonzero.
-    """
-    c = np.asarray(coeffs, dtype=complex)
-    if c.ndim != 1 or c.size < 2:
-        raise LeadingZero("need a polynomial of degree >= 1")
-    if c[0] == 0:
-        raise LeadingZero("leading coefficient is zero")
-    n = c.size - 1
-    companion = np.zeros((n, n), dtype=complex)
-    companion[0, :] = -c[1:] / c[0]
-    if n > 1:
-        companion[1:, :-1] = np.eye(n - 1)
-    return eig_dense(companion)
 
 
 def eig_dense(matrix: np.ndarray) -> np.ndarray:

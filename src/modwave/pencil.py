@@ -49,8 +49,8 @@ IMAG_RESIDUE_TOL = 1e-10
 @dataclass(frozen=True)
 class ReducedPencil:
     """One pencil (k scalar, (size, size) matrices) or a stack of them
-    (k an n-array, (n, size, size) matrices).  eigenvalues() and to_json()
-    take a single pencil only."""
+    (k an n-array, (n, size, size) matrices).  eigenvalues() takes a
+    single pencil only."""
 
     kind: EquationKind
     k: float | np.ndarray
@@ -59,36 +59,13 @@ class ReducedPencil:
     b_matrix: np.ndarray
     i_matrix: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return self.b_matrix.shape[-1]
-
-    def _require_single(self) -> None:
-        if self.b_matrix.ndim != 2:
-            raise ValueError("expected a single pencil, got a stack")
-
     def eigenvalues(self) -> np.ndarray:
         """Roots of det(B - lambda I); approximate near-origin spectrum."""
-        self._require_single()
+        if self.b_matrix.ndim != 2:
+            raise ValueError("expected a single pencil, got a stack")
         vals = np.linalg.eigvals(np.linalg.solve(self.i_matrix, self.b_matrix))
         order = np.lexsort((vals.imag, vals.real))
         return vals[order]
-
-    def to_json(self) -> dict:
-        """Debug dump: row-major entries as [re, im] pairs."""
-        self._require_single()
-
-        def dump(mat: np.ndarray) -> list[list[list[float]]]:
-            return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
-
-        return {
-            "kind": self.kind.value,
-            "k": self.k,
-            "xi": self.xi,
-            "a": self.a,
-            "B": dump(self.b_matrix),
-            "I": dump(self.i_matrix),
-        }
 
 
 def _symbol_columns(sym: DispersionSymbol, k) -> tuple[np.ndarray, ...]:

@@ -299,6 +299,7 @@ def wave_l2_norm(u_hat: np.ndarray) -> float:
 class ExpansionErrorRow:
     a: float
     error: float
+    wave: WaveSolution  # the Newton wave the error was measured on
 
 
 @dataclass(frozen=True)
@@ -326,7 +327,7 @@ def expansion_error(
         sol = newton_wave(kind, sym, k, float(a), n_modes)
         exp = expansion_for(kind, sym, k, float(a))
         diff = sol.u_hat - exp.u_cosines(n_modes)
-        rows.append(ExpansionErrorRow(float(a), wave_l2_norm(diff)))
+        rows.append(ExpansionErrorRow(float(a), wave_l2_norm(diff), sol))
     positive = [(r.a, r.error) for r in rows if r.a > 0 and r.error > 0]
     if len(positive) >= 2:
         la = np.log([p[0] for p in positive])

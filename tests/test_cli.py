@@ -311,6 +311,22 @@ def test_config_validation_errors():
         RunConfig(xi_range=(0.0, 0.9)).xi_values()
 
 
+@pytest.mark.parametrize("argv", [
+    ["index", "--equation", "bbm", "--expr", "1+abs(k)^alpha", "--param", "alpha", "--k", "1"],
+    ["index", "--equation", "bbm", "--expr", "1+abs(k)^alpha", "--param", "alpha=x", "--k", "1"],
+    ["index", "--config", "/nonexistent/modwave.json", "--equation", "bbm", "--symbol", "bbm",
+     "--k", "1"],
+    ["index", "--equation", "bbm", "--symbol", "fractional", "--k", "1"],
+    ["index", "--equation", "bbm", "--symbol", "nope", "--k", "1"],
+], ids=["param-without-value", "param-not-a-number", "missing-config", "fractional-without-alpha",
+        "unknown-symbol"])
+def test_bad_input_is_one_error_line(argv, capsys):
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"error: config field '[^']+': [^\n]+\n", err)
+
+
 def test_merge_overrides_none_keeps_config():
     cfg = RunConfig(equation="bbm", k=1.5)
     merged = merge_overrides(cfg, {"k": None, "a": 0.02})

@@ -13,7 +13,6 @@ from modwave.dispersion import (
     group_speed,
     jet_m,
     parse_symbol,
-    phase_speed,
     symbol_from_config,
 )
 from modwave.errors import EmptyGrid, NonFinite, ParseError
@@ -39,7 +38,7 @@ def test_evenness(bbm, boussinesq, whitham, frac3):
 
 
 def test_phase_and_group_speed(bbm, frac2):
-    assert phase_speed(bbm, 2.0) == pytest.approx(0.2)
+    assert eval_m(bbm, 2.0) == pytest.approx(0.2)
     # (k m)' for m = 1/(1+k^2) is (1-k^2)/(1+k^2)^2
     for k in (0.3, 1.0, 2.5):
         expected = (1.0 - k * k) / (1.0 + k * k) ** 2

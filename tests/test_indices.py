@@ -9,11 +9,7 @@ from modwave.indices import (
     Verdict,
     base_indices,
     critical_wavenumber,
-    equation_index,
     find_resonances,
-    i_bbm,
-    i_bnesq,
-    i_kdv,
     ind,
 )
 from modwave.numerics import property_rng
@@ -28,7 +24,7 @@ def test_bbm_closed_forms(bbm):
         assert i1 == pytest.approx(2.0 * k * (k * k - 3.0) / q**3, rel=1e-10)
         assert i2m == pytest.approx(-k * k * (3.0 + k * k) / q**2, rel=1e-10)
         assert i3m == pytest.approx(3.0 * k * k / (1.0 + 5.0 * k * k + 4.0 * k**4), rel=1e-10)
-        assert i_bbm(bbm, k) == pytest.approx(
+        assert ind(EquationKind.BBM, bbm, k).i_eq == pytest.approx(
             k * k * (3.0 + 5.0 * k * k) / (q**2 * (1.0 + 4.0 * k * k)), rel=1e-10
         )
 
@@ -44,17 +40,18 @@ def test_boussinesq_closed_forms(boussinesq):
         expected = k * k * (5.0 * k**6 + 14.0 * k**4 + 12.0 * k * k + 3.0) / (
             q**4 * (1.0 + 4.0 * k * k)
         )
-        assert i_bnesq(boussinesq, k) == pytest.approx(expected, rel=1e-10)
+        got = ind(EquationKind.BOUSSINESQ, boussinesq, k).i_eq
+        assert got == pytest.approx(expected, rel=1e-10)
 
 
 def test_fractional_kdv_index(frac2, frac3):
     for sym, alpha in ((frac2, 2.0), (frac3, 3.0)):
         for k in (0.3, 1.0, 2.0):
             expected = (3.0 - 2.0 ** (1.0 + alpha) + alpha) * k**alpha
-            assert i_kdv(sym, k) == pytest.approx(expected, rel=1e-10)
+            assert ind(EquationKind.KDV, sym, k).i_eq == pytest.approx(expected, rel=1e-10)
     unit = fractional_symbol(1.0)
     for k in (0.2, 1.0, 5.0):
-        assert abs(i_kdv(unit, k)) <= 1e-12 * max(1.0, k)
+        assert abs(ind(EquationKind.KDV, unit, k).i_eq) <= 1e-12 * max(1.0, k)
 
 
 def test_i2m_vanishes_at_origin(bbm, boussinesq):
@@ -185,11 +182,6 @@ def test_ind_columns_match_one_k_reports(kind, bbm, frac3):
             assert report[i] == one
             assert isinstance(one.ind, float) and isinstance(one.verdict, Verdict)
         assert base_indices(sym, ks)[0].tolist() == [base_indices(sym, k)[0] for k in ks.tolist()]
-
-
-def test_equation_index_dispatch(bbm):
-    assert equation_index(EquationKind.KDV, bbm, 1.0) == i_kdv(bbm, 1.0)
-    assert equation_index(EquationKind.BBM, bbm, 1.0) == i_bbm(bbm, 1.0)
 
 
 @pytest.mark.parametrize("kind", list(EquationKind), ids=lambda kind: kind.value)

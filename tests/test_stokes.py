@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
@@ -167,6 +168,14 @@ def test_expansion_error_slopes(bbm, boussinesq):
     for kind, sym in ((EquationKind.BBM, bbm), (EquationKind.BOUSSINESQ, boussinesq)):
         table = expansion_error(kind, sym, 1.0, (0.02, 0.01, 0.005), 32)
         assert 2.5 <= table.slope <= 3.5
+
+
+def test_expansion_error_rows_carry_their_waves(bbm):
+    table = expansion_error(EquationKind.BBM, bbm, 1.0, (0.02, 0.01), 32)
+    for row in table.rows:
+        fresh = newton_wave(EquationKind.BBM, bbm, 1.0, row.a, 32)
+        assert row.wave.a == row.a
+        assert np.array_equal(row.wave.u_hat, fresh.u_hat)
 
 
 def test_expansion_error_zero(bbm):
