@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import keyword
 import sys
 from typing import Sequence
 
@@ -16,8 +17,7 @@ import numpy as np
 
 from . import hill, indices, output, pencil, validation
 from .config import RunConfig, load_config, merge_overrides
-from .dispersion import (DispersionSymbol, check_assumptions, fractional_symbol, parse_symbol,
-                         symbol_from_config)
+from .dispersion import DispersionSymbol, check_assumptions, fractional_symbol, symbol_from_config
 from .errors import ConfigError, ModwaveError
 from .indices import Verdict
 from .stokes import EquationKind, newton_wave
@@ -31,25 +31,26 @@ def _param_values(pairs) -> dict[str, float]:
         raise ConfigError("param", f"expected name=number pairs, got {pairs}") from None
 
 
-def _declared_symbol(spec: dict) -> DispersionSymbol:
-    try:
-        return symbol_from_config(spec)
-    except (KeyError, TypeError) as exc:  # an unknown builtin, or its parameters wrong
-        raise ConfigError("symbol", exc.args[0]) from None
-
-
 def _resolve_symbol(cfg: RunConfig, args) -> DispersionSymbol:
     if getattr(args, "expr", None):
-        sym = parse_symbol(args.expr, _param_values(getattr(args, "param", None)))
+        spec = {"expr": args.expr, "params": _param_values(getattr(args, "param", None))}
     elif getattr(args, "symbol", None):
-        spec: dict = {"builtin": args.symbol}
-        if getattr(args, "alpha", None) is not None:
-            spec["params"] = {"alpha": args.alpha}
-        sym = _declared_symbol(spec)
+        alpha = getattr(args, "alpha", None)
+        spec = {"builtin": args.symbol, "params": {} if alpha is None else {"alpha": alpha}}
     elif cfg.symbol:
-        sym = _declared_symbol(cfg.symbol)
+        spec = cfg.symbol
     else:
         raise ConfigError("symbol", "need --symbol, --expr, or a config entry")
+    params = spec.get("params", {})
+    # numbers, under names an expression can spell: Python keywords are not names
+    if not isinstance(params, dict) or not all(
+            type(value) in (int, float) and not keyword.iskeyword(name)
+            for name, value in params.items()):
+        raise ConfigError("symbol", f"expected numbers named by non-keywords, got {params!r}")
+    try:
+        sym = symbol_from_config(spec)
+    except (KeyError, TypeError) as exc:  # an unknown builtin, or its parameters wrong
+        raise ConfigError("symbol", exc.args[0]) from None
     for warning in sym.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return sym

@@ -15,19 +15,13 @@ from .stokes import EquationKind
 XI_WARN = 0.1
 A_WARN = 0.05
 
-_EQUATIONS = {
-    "kdv": EquationKind.KDV,
-    "bbm": EquationKind.BBM,
-    "boussinesq": EquationKind.BOUSSINESQ,
-}
-
 
 @dataclass
 class RunConfig:
     """All knobs a command can take; commands validate what they need."""
 
     equation: str | None = None
-    symbol: dict[str, Any] = field(default_factory=dict)
+    symbol: dict = field(default_factory=dict)
     k: float | None = None
     k_range: tuple[float, float] | None = None
     k_steps: int = 101
@@ -49,8 +43,8 @@ class RunConfig:
         if self.equation is None:
             raise ConfigError("equation", "missing (one of kdv, bbm, boussinesq)")
         try:
-            return _EQUATIONS[self.equation.lower()]
-        except KeyError:
+            return EquationKind(self.equation.lower())
+        except ValueError:
             raise ConfigError(
                 "equation", f"unknown value {self.equation!r}; use kdv, bbm or boussinesq"
             ) from None
@@ -68,6 +62,8 @@ class RunConfig:
         return np.linspace(*span, steps)
 
     def k_values(self) -> np.ndarray:
+        if self.k is not None and not self.k > 0:
+            raise ConfigError("k", f"need k > 0, got {self.k}")
         return self._values("k", self.k, self.k_range, self.k_steps,
                             lambda lo, hi: 0 < lo <= hi, "0 < lo <= hi")
 
@@ -99,17 +95,27 @@ class RunConfig:
 
     @classmethod
     def parse(cls, data: dict[str, Any]) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
+        annotations = {f.name: f.type for f in fields(cls)}
         kwargs = {}
         for key, val in data.items():
-            if key not in known:
+            if key not in annotations:
                 raise ConfigError(key, "unknown config field")
-            if key in ("k_range", "xi_range", "alpha_range") and val is not None:
-                if not isinstance(val, (list, tuple)) or len(val) != 2:
-                    raise ConfigError(key, "expected a [lo, hi] pair")
-                val = (float(val[0]), float(val[1]))
-            kwargs[key] = val
+            if not _fits(val, annotations[key]):
+                raise ConfigError(key, f"expected {annotations[key]}, got {val!r}")
+            kwargs[key] = (float(val[0]), float(val[1])) if isinstance(val, (list, tuple)) else val
         return cls(**kwargs)
+
+
+def _fits(val, annotation: str) -> bool:
+    """Whether a JSON value has the type of a field annotated e.g.
+    'float | None'; a tuple field takes a [lo, hi] pair of numbers."""
+    if val is None:
+        return annotation.endswith("None")
+    if annotation.startswith("tuple"):
+        return (isinstance(val, (list, tuple)) and len(val) == 2
+                and all(_fits(v, "float") for v in val))
+    wanted = {"str": str, "dict": dict, "float": (int, float), "int": int}[annotation.split(" ")[0]]
+    return isinstance(val, wanted) and not isinstance(val, bool)
 
 
 def load_config(path: str) -> RunConfig:

@@ -9,7 +9,9 @@ m(0)=1, power-law tails, absence of harmonic resonances m(k)=m(nk)).
 
 from __future__ import annotations
 
+import ast
 import math
+import re
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -216,11 +218,10 @@ def builtin_symbol(name: str, **params: float) -> DispersionSymbol:
 
 
 # ---------------------------------------------------------------------------
-# Expression parser
-#
-# Grammar: reals, identifier k, named parameters, + - * / ^, unary minus,
-# functions sqrt, tanh, abs, exp, cos, pow; standard precedence with a
-# right-associative '^'.
+# Expression parser: Python's own, on the text with '^' read as '**'; a
+# whitelist turns its syntax tree into the nodes _jet_node evaluates.
+# Grammar: decimal literals, k, named parameters, + - * /, unary minus, a
+# right-associative '^', and the functions below.
 # ---------------------------------------------------------------------------
 
 _FUNCTIONS: dict[str, tuple[int, Callable[..., Jet]]] = {
@@ -231,140 +232,74 @@ _FUNCTIONS: dict[str, tuple[int, Callable[..., Jet]]] = {
     "cos": (1, lambda x: _chain(x, np.cos(x[0]), -np.sin(x[0]), -np.cos(x[0]))),
     "pow": (2, _pow_jet),
 }
+_BINARY = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "div", ast.Pow: "pow"}
+#: Python's '**', or a character outside the grammar
+_FOREIGN = re.compile(r"\*\*|[^\w\s.+\-*/^(),]")
+_DECIMAL = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_ANY_TOKEN = ("number", "identifier", "operator")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            tokens.append(("number", text[i:j], i))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-        elif ch in "+-*/^(),":
-            tokens.append((ch, ch, i))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i,
-                             ("number", "identifier", "operator"))
-    tokens.append(("end", "", n))
-    return tokens
+def _parse(text: str, params: dict[str, float]):
+    """The (op, ...) tree of an expression; ParseError at a position in text."""
+    foreign = _FOREIGN.search(text)
+    if foreign:
+        raise ParseError("powers are written '^', not '**'" if foreign[0] == "**"
+                         else f"unexpected character {foreign[0]!r}", foreign.start(), _ANY_TOKEN)
+    # one Python line without indent, every unclosed '(' closed at its end;
+    # where[i] is the position in text of the i-th character parsed
+    pieces = ["**" if ch == "^" else " " if ch.isspace() else ch for ch in text]
+    where = [i for i, piece in enumerate(pieces) for _ in piece]
+    src = "".join(pieces)
+    lead = len(src) - len(src.lstrip())
+    closers = ")" * max(0, text.count("(") - text.count(")"))
+    src, where = src[lead:] + closers, where[lead:] + [len(text)] * (len(closers) + 1)
+    raw = src.encode()  # ast offsets count UTF-8 bytes
 
+    def at(node) -> int:
+        return where[len(raw[:node.col_offset].decode())]
 
-class _Parser:
-    def __init__(self, text: str, params: dict[str, float]):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.params = params
+    def segment(node) -> str:  # as written: Python folds Unicode identifiers
+        return raw[node.col_offset:node.end_col_offset].decode()
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ParseError(f"unexpected token {tok[1]!r}", tok[2], (kind,))
-        return self.advance()
-
-    def parse(self):
-        node = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(f"trailing input {tok[1]!r}", tok[2], ("end of input",))
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            rhs = self.unary()
-            node = ("mul" if op == "*" else "div", node, rhs)
-        return node
-
-    def unary(self):
-        if self.peek()[0] == "-":
-            self.advance()
-            return ("neg", self.unary())
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek()[0] == "^":
-            self.advance()
-            return ("pow", base, self.unary())
-        return base
-
-    def atom(self):
-        tok = self.peek()
-        if tok[0] == "number":
-            self.advance()
-            return ("num", float(tok[1]))
-        if tok[0] == "ident":
-            self.advance()
-            name = tok[1]
-            if self.peek()[0] == "(":
-                if name not in _FUNCTIONS:
-                    raise ParseError(f"unknown function {name!r}", tok[2],
-                                     tuple(sorted(_FUNCTIONS)))
-                self.advance()
-                args = [self.expr()]
-                while self.peek()[0] == ",":
-                    self.advance()
-                    args.append(self.expr())
-                self.expect(")")
-                arity = _FUNCTIONS[name][0]
-                if len(args) != arity:
-                    raise ParseError(
-                        f"function {name!r} takes {arity} argument(s), got {len(args)}",
-                        tok[2], (f"{arity} argument(s)",))
-                return ("call", name, args)
+    def walk(node):
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            return (_BINARY[type(node.op)], walk(node.left), walk(node.right))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return ("neg", walk(node.operand))
+        if isinstance(node, ast.Constant) and _DECIMAL.fullmatch(segment(node)):
+            return ("num", float(segment(node)))
+        if isinstance(node, ast.Name):
+            name = segment(node)
             if name == "k":
                 return ("var",)
-            if name in self.params:
-                return ("num", float(self.params[name]))
-            raise ParseError(f"unknown identifier {name!r}", tok[2],
-                             ("k",) + tuple(sorted(self.params)))
-        if tok[0] == "(":
-            self.advance()
-            node = self.expr()
-            self.expect(")")
-            return node
-        raise ParseError(f"unexpected token {tok[1]!r}", tok[2],
-                         ("number", "identifier", "("))
+            if name in params:
+                return ("num", float(params[name]))
+            raise ParseError(f"unknown identifier {name!r}", at(node), ("k",) + tuple(sorted(params)))
+        # a bare function name and positional arguments, without Python's f(x,)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and not node.keywords
+                and node.func.col_offset == node.col_offset
+                and not re.search(r", *\)$", segment(node))):
+            name = segment(node.func)
+            if name not in _FUNCTIONS:
+                raise ParseError(f"unknown function {name!r}", at(node), tuple(sorted(_FUNCTIONS)))
+            args, arity = [walk(arg) for arg in node.args], _FUNCTIONS[name][0]
+            if len(args) != arity:
+                raise ParseError(f"function {name!r} takes {arity} argument(s), got {len(args)}",
+                                 at(node), (f"{arity} argument(s)",))
+            return ("call", name, args)
+        what = "not a decimal literal" if isinstance(node, ast.Constant) else "unsupported syntax"
+        raise ParseError(f"{what}: {segment(node)!r}", at(node), _ANY_TOKEN)
+
+    try:
+        tree = walk(ast.parse(src, mode="eval").body)
+    except SyntaxError as exc:
+        pos = where[min(exc.offset - 1, len(src))] if exc.offset else len(text)
+        near = re.match(r"[\w.]+|\S", text[pos:])
+        raise ParseError(f"invalid syntax near {near[0]!r}" if near else "unexpected end of input",
+                         pos, _ANY_TOKEN) from None
+    if closers:
+        raise ParseError("unclosed '('", len(text), (")",))
+    return tree
 
 
 def _jet_node(node, k: np.ndarray) -> Jet:
@@ -409,11 +344,10 @@ def parse_symbol(expr: str, params: dict[str, float] | None = None) -> Dispersio
     the expression violates m(0)=1 or evenness on a probe grid.
     """
     params = dict(params or {})
-    ast = _Parser(expr, params).parse()
 
     def at(k: np.ndarray) -> list[np.ndarray]:
         with np.errstate(all="ignore"):
-            return [np.array(np.broadcast_to(c, k.shape), dtype=float) for c in _jet_node(ast, k)]
+            return [np.array(np.broadcast_to(c, k.shape), dtype=float) for c in _jet_node(tree, k)]
 
     def filled(k: ArrayLike) -> list[np.ndarray]:
         """The jet with removable singularities filled; nan where none is."""
@@ -441,8 +375,12 @@ def parse_symbol(expr: str, params: dict[str, float] | None = None) -> Dispersio
                         lambda bad: f"expression {expr!r} is not finite at k={bad}")
         return tuple(j)
 
+    try:  # the first evaluation recurses as deep as the parse
+        tree = _parse(expr, params)
+        m0 = float(filled(0.0)[0])
+    except (MemoryError, RecursionError):  # the parser's or the interpreter's stack overflowed
+        raise ParseError("expression nested too deeply", 0) from None
     warnings = []
-    m0 = float(filled(0.0)[0])
     if not math.isfinite(m0):
         warnings.append("normalization violated: m(0) is not finite")
     elif abs(m0 - 1.0) > 1e-12:

@@ -327,6 +327,40 @@ def test_bad_input_is_one_error_line(argv, capsys):
     assert re.fullmatch(r"error: config field '[^']+': [^\n]+\n", err)
 
 
+@pytest.mark.parametrize("argv,field", [
+    (["index", "--equation", "bbm", "--symbol", "bbm", "--k", "-1"], "k"),
+    (["index", "--equation", "bbm", "--expr", "1+lambda*k^2", "--param", "lambda=2", "--k", "1"],
+     "symbol"),
+], ids=["k-not-positive", "keyword-param-name"])
+def test_bad_value_is_one_config_error_line(argv, field, capsys):
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(rf"error: config field '{field}': [^\n]+\n", err)
+
+
+@pytest.mark.parametrize("data", [
+    {"symbol": {"builtin": "fractional", "params": {"alpha": "x"}}, "equation": "bbm"},
+    {"equation": "bbm", "symbol": {"builtin": "bbm"}, "k": "x"},
+], ids=["alpha-not-a-number", "k-not-a-number"])
+def test_config_values_are_type_checked(data, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    argv = ["index", "--config", str(cfg)] + ([] if "k" in data else ["--k", "1"])
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"error: config field '[^']+': [^\n]+\n", err)
+
+
+@pytest.mark.parametrize("expr", ["1.2.3", "k**2", "0x10", "1_000+k", "1j+k", "1/(1+k", "010"])
+def test_bad_expression_is_one_error_line(expr, capsys):
+    assert run(["index", "--equation", "bbm", "--expr", expr, "--k", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"error: [^\n]+ at position \d+[^\n]*\n", err)
+
+
 def test_merge_overrides_none_keeps_config():
     cfg = RunConfig(equation="bbm", k=1.5)
     merged = merge_overrides(cfg, {"k": None, "a": 0.02})

@@ -3,9 +3,12 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from modwave.dispersion import (
     DispersionSymbol,
+    _parse,
     builtin_symbol,
     check_assumptions,
     eval_m,
@@ -266,6 +269,124 @@ def test_parse_errors_carry_position():
         parse_symbol("pow(k)")  # wrong arity
     with pytest.raises(ParseError):
         parse_symbol("1 + q")  # unknown identifier
+
+
+# each is outside the grammar, and none may escape as anything but ParseError
+REJECTED = [
+    "k**2", "k//2", "k%2", "k@k", "+k", "0x10", "0o7", "0b1", "1_000+k", "1j+k", "k.real",
+    "k[0]", "k<2", "k,k", "(k,)", "pow(k, b=2)", "pow(k, 2,)", "(sqrt)(k)", "k(2)", "1+k # c",
+    "1.2.3", "1e", "", "  ", "1+", "k)", "'k'", "True", "...", "1\\\nk", "k\x00",
+    "-" * 6000 + "k", "+".join(["k"] * 3000), "(" * 250 + "k" + ")" * 250,
+]
+
+
+@pytest.mark.parametrize("text", REJECTED, ids=range(len(REJECTED)))
+def test_parse_rejects_what_the_grammar_lacks(text):
+    with pytest.raises(ParseError) as err:
+        parse_symbol(text)
+    assert 0 <= err.value.position <= len(text)
+
+
+@pytest.mark.parametrize("text,position", [
+    ("1 + q", 4),  # unknown identifier
+    ("k^2\t^ 2 *\n q", 11),  # after '^', a tab and a newline
+    ("α^2 + q", 6),  # after a non-ASCII parameter name
+    ("k^2 + sin(k)", 6),  # unknown function
+    ("2*pow(k)", 2),  # wrong arity: the function's position
+    ("pow(q, 2)", 4),  # the arguments are read before the arity is checked
+    ("(1+k)^(2", 8),  # unclosed '(' at the end
+])
+def test_parse_error_positions_index_the_original_text(text, position):
+    with pytest.raises(ParseError) as err:
+        parse_symbol(text, {"α": 1.0})
+    assert err.value.position == position
+
+
+def test_rejected_inputs_the_grammar_once_took():
+    # integer literals with leading zeros, as in Python; a float may have them
+    with pytest.raises(ParseError) as err:
+        parse_symbol("1+010*k^2")
+    assert err.value.position == 2
+    assert _parse("00.5+0*k", {}) == ("add", ("num", 0.5), ("mul", ("num", 0.0), ("var",)))
+    # a parameter named by a Python keyword cannot be spelled in the text
+    with pytest.raises(ParseError):
+        parse_symbol("1+lambda*k^2", {"lambda": 2.0})
+
+
+PARAMS = {"alpha": 3.0, "b_2": 0.5}
+LITERALS = st.one_of(
+    st.sampled_from(["1.", ".5", "1e-3", "2.5E+2", "0", "10"]),
+    st.integers(0, 10**6).map(str),
+    st.floats(0.0, 1e6, allow_nan=False).map(repr),
+)
+# trees of the grammar with literals and parameters as spelled
+SPELLED = st.recursive(
+    st.one_of(LITERALS.map(lambda s: ("num", s)), st.just(("var",)),
+              st.sampled_from(sorted(PARAMS)).map(lambda name: ("param", name))),
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from(["add", "sub", "mul", "div", "pow"]), sub, sub),
+        st.tuples(st.just("neg"), sub),
+        st.tuples(st.just("call"), st.sampled_from(["sqrt", "tanh", "abs", "exp", "cos"]),
+                  st.lists(sub, min_size=1, max_size=1)),
+        st.tuples(st.just("call"), st.just("pow"), st.lists(sub, min_size=2, max_size=2)),
+    ),
+    max_leaves=12,
+)
+# (operator, precedence, least precedence of the left and the right operand); an atom is 5
+BINARY = {"add": ("+", 1, 1, 2), "sub": ("-", 1, 1, 2), "mul": ("*", 2, 2, 3),
+          "div": ("/", 2, 2, 3), "pow": ("^", 4, 5, 3)}
+
+
+def expected_tree(node):
+    if node[0] == "num":
+        return ("num", float(node[1]))
+    if node[0] == "param":
+        return ("num", PARAMS[node[1]])
+    if node[0] == "call":
+        return ("call", node[1], [expected_tree(arg) for arg in node[2]])
+    return (node[0], *map(expected_tree, node[1:]))
+
+
+@st.composite
+def rendered(draw):
+    """A spelled tree and its text, with random blanks between the tokens and
+    redundant parentheses around random subexpressions."""
+
+    def blank():
+        return draw(st.sampled_from(["", "", " ", "\t", "\n", "  \t"]))
+
+    def grouped(text, prec, least):
+        if prec < least or draw(st.integers(0, 4)) == 0:
+            return f"({blank()}{text}{blank()})", 5
+        return text, prec
+
+    def render(node, least):
+        if node[0] in ("num", "param"):
+            return grouped(node[1], 5, least)
+        if node[0] == "var":
+            return grouped("k", 5, least)
+        if node[0] == "neg":
+            return grouped(f"-{blank()}{render(node[1], 3)[0]}", 3, least)
+        if node[0] == "call":
+            args = f"{blank()},{blank()}".join(render(arg, 0)[0] for arg in node[2])
+            return grouped(f"{node[1]}{blank()}({blank()}{args}{blank()})", 5, least)
+        op, prec, left, right = BINARY[node[0]]
+        text = f"{render(node[1], left)[0]}{blank()}{op}{blank()}{render(node[2], right)[0]}"
+        return grouped(text, prec, least)
+
+    tree = draw(SPELLED)
+    return tree, blank() + render(tree, 0)[0] + blank()
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(rendered())
+@example((("neg", ("neg", ("neg", ("var",)))), "- --k"))
+@example((("pow", ("num", "2.5E+2"), ("pow", ("var",), ("neg", ("num", "1e-3")))),
+          "2.5E+2^k ^-1e-3"))
+@example((("div", ("num", "1."), ("mul", ("num", ".5"), ("param", "b_2"))), "((1.))/\n(.5*b_2)"))
+def test_parse_round_trips_rendered_trees(case):
+    tree, text = case
+    assert _parse(text, PARAMS) == expected_tree(tree)
 
 
 def test_symbol_from_config(bbm):
