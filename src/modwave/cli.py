@@ -168,10 +168,10 @@ def cmd_wave(cfg: RunConfig, args) -> int:
     ]
     if sol.q_hat is not None:
         header = ["n", "u_hat", "q_hat"]
-        rows = [(n, float(sol.u_hat[n]), float(sol.q_hat[n])) for n in range(sol.n_modes + 1)]
+        rows = zip(range(sol.n_modes + 1), sol.u_hat.tolist(), sol.q_hat.tolist())
     else:
         header = ["n", "u_hat"]
-        rows = [(n, float(sol.u_hat[n])) for n in range(sol.n_modes + 1)]
+        rows = enumerate(sol.u_hat.tolist())
     _emit_csv(cfg, header, rows, preamble)
     return 0
 

@@ -68,6 +68,8 @@ class RunConfig:
                             lambda lo, hi: 0 < lo <= hi, "0 < lo <= hi")
 
     def xi_values(self) -> np.ndarray:
+        if self.xi is not None and not 0 <= self.xi <= 0.5:
+            raise ConfigError("xi", f"need 0 <= xi <= 0.5, got {self.xi}")
         return self._values("xi", self.xi, self.xi_range, self.xi_steps,
                             lambda lo, hi: 0 <= lo <= hi <= 0.5, "0 <= lo <= hi <= 0.5")
 

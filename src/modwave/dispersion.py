@@ -2,7 +2,8 @@
 
 Built-in families, a small expression parser for user-defined symbols,
 exact derivatives through second-order jets (m, m', m'') evaluated
-elementwise over scalars and k-arrays by one code path, and empirical
+elementwise over scalars and k-arrays by one code path (a value-only
+call stops after m), and empirical
 verification of the structural assumptions (smoothness, evenness with
 m(0)=1, power-law tails, absence of harmonic resonances m(k)=m(nk)).
 """
@@ -10,6 +11,7 @@ m(0)=1, power-law tails, absence of harmonic resonances m(k)=m(nk)).
 from __future__ import annotations
 
 import ast
+import itertools
 import math
 import re
 from dataclasses import dataclass, replace
@@ -21,18 +23,21 @@ from numpy.typing import ArrayLike
 from .errors import EmptyGrid, NonFinite, ParseError
 from .numerics import scan_roots, unbox
 
-#: second-order Taylor jet (f, f', f'') of a function, elementwise over k
-Jet = tuple[np.ndarray, np.ndarray, np.ndarray]
+#: second-order Taylor jet (f, f', f'') of a function, elementwise over k;
+#: (f,) alone when only the value was asked for (order 0)
+Jet = tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
 class DispersionSymbol:
     """Evaluable dispersion symbol m(k) with its exact derivative jet.
 
-    ``jet`` returns (m, m', m'') elementwise over a scalar or an array of
-    k; a scalar is a 0-d call of the same code.  ``raw`` is the value as
-    supplied, at any sign of k (used for evenness checks); every built-in
-    and expression takes it from the jet, so no formula is written twice.
+    ``jet(k)`` returns (m, m', m'') elementwise over a scalar or an array
+    of k; a scalar is a 0-d call of the same code.  ``jet(k, 0)`` stops
+    after the value and returns (m,).  ``raw`` is the value as supplied,
+    at any sign of k (used for evenness checks); every built-in and
+    expression takes it from the order-0 jet, so no formula is written
+    twice.
     Public evaluation goes through :func:`eval_m` and :func:`jet_m`, which
     symmetrize to |k|.
     """
@@ -43,8 +48,8 @@ class DispersionSymbol:
     warnings: tuple[str, ...] = ()
 
 
-def _from_jet(name: str, jet: Callable[[ArrayLike], Jet], warnings=()) -> DispersionSymbol:
-    return DispersionSymbol(name=name, raw=lambda k: jet(k)[0], jet=jet, warnings=warnings)
+def _from_jet(name: str, jet: Callable[..., Jet], warnings=()) -> DispersionSymbol:
+    return DispersionSymbol(name=name, raw=lambda k: jet(k, 0)[0], jet=jet, warnings=warnings)
 
 
 def _require_finite(k: np.ndarray, ok: np.ndarray, message: Callable[[float], str]) -> None:
@@ -88,22 +93,29 @@ def group_speed(sym: DispersionSymbol, k: ArrayLike):
 # "Evaluating Derivatives", ch. 13), elementwise in numpy.  Every ** is
 # np.float_power, which rounds like Python's float **.  A value or a
 # derivative that does not exist comes out inf or nan; callers evaluate
-# under np.errstate(all="ignore").
+# under np.errstate(all="ignore").  A value-only jet (f,) gives a
+# value-only result, computed by the same operations as the full jet's f.
 # ---------------------------------------------------------------------------
 
 
-def _chain(x: Jet, g, g1, g2) -> Jet:
-    """Jet of g(a(k)) from the jet x of a and g, g', g'' at a."""
+def _chain(x: Jet, g, derivs: Callable[[], tuple]) -> Jet:
+    """Jet of g(a(k)) from the jet x of a, the value g at a and derivs(),
+    which gives g' and g'' at a and is called only for a full jet."""
+    if len(x) == 1:
+        return (g,)
+    g1, g2 = derivs()
     return g, g1 * x[1], g2 * x[1] * x[1] + g1 * x[2]
 
 
 def _pow_jet(x: Jet, y: Jet) -> Jet:
+    v = np.float_power(x[0], y[0])  # nan where a < 0 and b is not an integer
+    if len(x) == 1:
+        return (v,)
     a, a1, a2 = x
     b, b1, b2 = y
-    v = np.float_power(a, b)  # nan where a < 0 and b is not an integer
     # constant exponent: the power rule
-    power = _chain(x, v, b * np.float_power(a, b - 1.0),
-                   b * (b - 1.0) * np.float_power(a, b - 2.0))
+    power = _chain(x, v, lambda: (b * np.float_power(a, b - 1.0),
+                                  b * (b - 1.0) * np.float_power(a, b - 2.0)))
     # variable exponent: a**b = exp(u) with u = b log a, for a > 0 only
     lg, r1 = np.log(a), a1 / a
     u1 = b1 * lg + b * r1
@@ -118,15 +130,28 @@ def _pow_jet(x: Jet, y: Jet) -> Jet:
 
 def _sqrt_jet(x: Jet) -> Jet:
     v = np.sqrt(x[0])
-    g1 = 0.5 / v  # inf at v = 0
-    return _chain(x, v, g1, -2.0 * g1 * g1 * g1)
+
+    def derivs():
+        g1 = 0.5 / v  # inf at v = 0
+        return g1, -2.0 * g1 * g1 * g1
+
+    return _chain(x, v, derivs)
 
 
 def _tanh_jet(x: Jet) -> Jet:
     t = np.tanh(x[0])
-    e = np.exp(-2.0 * np.abs(x[0]))
-    s = 4.0 * e / np.float_power(1.0 + e, 2)  # sech^2 without the cancellation in 1 - t^2
-    return _chain(x, t, s, -2.0 * t * s)
+
+    def derivs():
+        e = np.exp(-2.0 * np.abs(x[0]))
+        s = 4.0 * e / np.float_power(1.0 + e, 2)  # sech^2 without the cancellation in 1 - t^2
+        return s, -2.0 * t * s
+
+    return _chain(x, t, derivs)
+
+
+def _exp_jet(x: Jet) -> Jet:
+    e = np.exp(x[0])
+    return _chain(x, e, lambda: (e, e))
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +162,13 @@ def _tanh_jet(x: Jet) -> Jet:
 def bbm_symbol() -> DispersionSymbol:
     """m(k) = 1/(1+k^2)."""
 
-    def jet(k: ArrayLike) -> Jet:
+    def jet(k: ArrayLike, order: int = 2) -> Jet:
         k = np.asarray(k, dtype=float)
         q = 1.0 + k * k
-        return 1.0 / q, -2.0 * k / np.float_power(q, 2), (6.0 * k * k - 2.0) / np.float_power(q, 3)
+        m = 1.0 / q
+        if not order:
+            return (m,)
+        return m, -2.0 * k / np.float_power(q, 2), (6.0 * k * k - 2.0) / np.float_power(q, 3)
 
     return _from_jet("bbm", jet)
 
@@ -148,11 +176,13 @@ def bbm_symbol() -> DispersionSymbol:
 def boussinesq_symbol() -> DispersionSymbol:
     """m(k) = (1+k^2)^(-1/2)."""
 
-    def jet(k: ArrayLike) -> Jet:
+    def jet(k: ArrayLike, order: int = 2) -> Jet:
         k = np.asarray(k, dtype=float)
         q = 1.0 + k * k
-        return (np.float_power(q, -0.5), -k * np.float_power(q, -1.5),
-                (2.0 * k * k - 1.0) * np.float_power(q, -2.5))
+        m = np.float_power(q, -0.5)
+        if not order:
+            return (m,)
+        return m, -k * np.float_power(q, -1.5), (2.0 * k * k - 1.0) * np.float_power(q, -2.5)
 
     return _from_jet("boussinesq", jet)
 
@@ -166,12 +196,14 @@ def fractional_symbol(alpha) -> DispersionSymbol:
     one row of values per exponent.
     """
 
-    def jet(k: ArrayLike) -> Jet:
+    def jet(k: ArrayLike, order: int = 2) -> Jet:
         k = np.asarray(k, dtype=float)
         a = np.abs(k)
         with np.errstate(all="ignore"):
             m = np.where(a == 0.0, np.where(alpha > 0.0, 1.0, math.inf),
                          1.0 + np.float_power(a, alpha))
+            if not order:
+                return (m,)
             p1, p2 = np.float_power(a, alpha - 1.0), np.float_power(a, alpha - 2.0)
             return m, np.where(k < 0.0, -alpha * p1, alpha * p1), alpha * (alpha - 1.0) * p2
 
@@ -179,15 +211,17 @@ def fractional_symbol(alpha) -> DispersionSymbol:
     return _from_jet(name, jet)
 
 
-def _whitham_jet(k: ArrayLike) -> Jet:
+def _whitham_jet(k: ArrayLike, order: int = 2) -> Jet:
     # g = tanh(k)/k and its derivatives, each with the removable singularity
     # at 0 filled by its Taylor series; m = sqrt(g)
     k = np.asarray(k, dtype=float)
     a, k2 = np.abs(k), k * k
     with np.errstate(all="ignore"):
         t = np.tanh(k)
-        s2 = 1.0 - t * t  # sech^2
         g = np.where(a < 1e-6, 1.0 - k2 / 3.0 + 2.0 * k2 * k2 / 15.0, t / k)
+        if not order:
+            return _sqrt_jet((g,))
+        s2 = 1.0 - t * t  # sech^2
         g1 = np.where(a < 1e-4, -2.0 * k / 3.0 + 8.0 * np.float_power(k, 3) / 15.0,
                       s2 / k - t / (k * k))
         g2 = np.where(a < 1e-3, -2.0 / 3.0 + 24.0 * k * k / 15.0,
@@ -227,14 +261,19 @@ def builtin_symbol(name: str, **params: float) -> DispersionSymbol:
 _FUNCTIONS: dict[str, tuple[int, Callable[..., Jet]]] = {
     "sqrt": (1, _sqrt_jet),
     "tanh": (1, _tanh_jet),
-    "abs": (1, lambda x: _chain(x, np.abs(x[0]), np.copysign(1.0, x[0]), 0.0)),
-    "exp": (1, lambda x: _chain(x, *[np.exp(x[0])] * 3)),
-    "cos": (1, lambda x: _chain(x, np.cos(x[0]), -np.sin(x[0]), -np.cos(x[0]))),
+    "abs": (1, lambda x: _chain(x, np.abs(x[0]), lambda: (np.copysign(1.0, x[0]), 0.0))),
+    "exp": (1, _exp_jet),
+    "cos": (1, lambda x: _chain(x, np.cos(x[0]), lambda: (-np.sin(x[0]), -np.cos(x[0])))),
     "pow": (2, _pow_jet),
 }
 _BINARY = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "div", ast.Pow: "pow"}
 #: Python's '**', or a character outside the grammar
 _FOREIGN = re.compile(r"\*\*|[^\w\s.+\-*/^(),]")
+#: the most operator characters a text may hold: Python 3.10's parser crashes
+#: the interpreter on a 200 000-term sum, and any chain of a few thousand
+#: terms overflows the evaluator's recursion anyway
+MAX_OPERATORS = 10_000
+_OPERATOR = re.compile(r"[-+*/^]")
 _DECIMAL = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 _ANY_TOKEN = ("number", "identifier", "operator")
 
@@ -245,6 +284,9 @@ def _parse(text: str, params: dict[str, float]):
     if foreign:
         raise ParseError("powers are written '^', not '**'" if foreign[0] == "**"
                          else f"unexpected character {foreign[0]!r}", foreign.start(), _ANY_TOKEN)
+    excess = next(itertools.islice(_OPERATOR.finditer(text), MAX_OPERATORS, None), None)
+    if excess:
+        raise ParseError(f"more than {MAX_OPERATORS} operators", excess.start())
     # one Python line without indent, every unclosed '(' closed at its end;
     # where[i] is the position in text of the i-th character parsed
     pieces = ["**" if ch == "^" else " " if ch.isspace() else ch for ch in text]
@@ -302,33 +344,36 @@ def _parse(text: str, params: dict[str, float]):
     return tree
 
 
-def _jet_node(node, k: np.ndarray) -> Jet:
-    """(f, f', f'') of an expression node, elementwise over k."""
+def _jet_node(node, k: np.ndarray, order: int = 2) -> Jet:
+    """(f, f', f'') of an expression node, elementwise over k; (f,) for
+    order 0."""
     op = node[0]
     if op == "num":  # numpy scalars, so a constant 0/0 is nan, not an exception
-        return np.float64(node[1]), np.float64(0.0), np.float64(0.0)
+        return (np.float64(node[1]), np.float64(0.0), np.float64(0.0))[: 3 if order else 1]
     if op == "var":
-        return k, np.float64(1.0), np.float64(0.0)
+        return (k, np.float64(1.0), np.float64(0.0))[: 3 if order else 1]
     if op == "neg":
-        a, a1, a2 = _jet_node(node[1], k)
-        return -a, -a1, -a2
+        return tuple(-c for c in _jet_node(node[1], k, order))
     if op == "call":
-        return _FUNCTIONS[node[1]][1](*(_jet_node(arg, k) for arg in node[2]))
-    x, y = _jet_node(node[1], k), _jet_node(node[2], k)
+        return _FUNCTIONS[node[1]][1](*(_jet_node(arg, k, order) for arg in node[2]))
+    x, y = _jet_node(node[1], k, order), _jet_node(node[2], k, order)
     if op == "pow":
         return _pow_jet(x, y)
-    (a, a1, a2), (b, b1, b2) = x, y
     if op == "add":
-        return a + b, a1 + b1, a2 + b2
+        return tuple(p + q for p, q in zip(x, y))
     if op == "sub":
-        return a - b, a1 - b1, a2 - b2
+        return tuple(p - q for p, q in zip(x, y))
+    if op not in ("mul", "div"):
+        raise AssertionError(f"unknown node {op}")
+    a, b = x[0], y[0]
+    q = a * b if op == "mul" else a / b
+    if len(x) == 1:
+        return (q,)
+    (_, a1, a2), (_, b1, b2) = x, y
     if op == "mul":
-        return a * b, a1 * b + a * b1, a2 * b + 2.0 * a1 * b1 + a * b2
-    if op == "div":
-        q = a / b
-        q1 = (a1 - q * b1) / b
-        return q, q1, (a2 - 2.0 * q1 * b1 - q * b2) / b
-    raise AssertionError(f"unknown node {op}")
+        return q, a1 * b + a * b1, a2 * b + 2.0 * a1 * b1 + a * b2
+    q1 = (a1 - q * b1) / b
+    return q, q1, (a2 - 2.0 * q1 * b1 - q * b2) / b
 
 
 _PROBE_GRID = (0.3781, 0.9132, 1.7, 2.64, 4.41, 7.9)
@@ -345,19 +390,20 @@ def parse_symbol(expr: str, params: dict[str, float] | None = None) -> Dispersio
     """
     params = dict(params or {})
 
-    def at(k: np.ndarray) -> list[np.ndarray]:
+    def at(k: np.ndarray, order: int) -> list[np.ndarray]:
         with np.errstate(all="ignore"):
-            return [np.array(np.broadcast_to(c, k.shape), dtype=float) for c in _jet_node(tree, k)]
+            return [np.array(np.broadcast_to(c, k.shape), dtype=float)
+                    for c in _jet_node(tree, k, order)]
 
-    def filled(k: ArrayLike) -> list[np.ndarray]:
+    def filled(k: ArrayLike, order: int = 2) -> list[np.ndarray]:
         """The jet with removable singularities filled; nan where none is."""
         k = np.asarray(k, dtype=float)
-        j = at(k)
+        j = at(k, order)
         bad = ~np.isfinite(j[0])
         if np.any(bad):
             # probe the two-sided limit of the value at every non-finite k
             kb = k[bad]
-            samples = at(kb + _PROBE_STEPS * (1e-6 * np.maximum(1.0, np.abs(kb))))
+            samples = at(kb + _PROBE_STEPS * (1e-6 * np.maximum(1.0, np.abs(kb))), order)
             ok = np.isfinite(samples[0])
             count = ok.sum(axis=0)
             first = samples[0][ok.argmax(axis=0), np.arange(kb.size)]
@@ -369,15 +415,15 @@ def parse_symbol(expr: str, params: dict[str, float] | None = None) -> Dispersio
                     c[bad] = np.where(limit, np.where(ok, s, 0.0).sum(axis=0) / count, np.nan)
         return j
 
-    def jet(k: ArrayLike) -> Jet:
-        j = filled(k)
+    def jet(k: ArrayLike, order: int = 2) -> Jet:
+        j = filled(k, order)
         _require_finite(np.asarray(k, dtype=float), np.isfinite(j[0]),
                         lambda bad: f"expression {expr!r} is not finite at k={bad}")
         return tuple(j)
 
     try:  # the first evaluation recurses as deep as the parse
         tree = _parse(expr, params)
-        m0 = float(filled(0.0)[0])
+        m0 = float(filled(0.0, 0)[0])
     except (MemoryError, RecursionError):  # the parser's or the interpreter's stack overflowed
         raise ParseError("expression nested too deeply", 0) from None
     warnings = []
@@ -386,7 +432,7 @@ def parse_symbol(expr: str, params: dict[str, float] | None = None) -> Dispersio
     elif abs(m0 - 1.0) > 1e-12:
         warnings.append(f"normalization violated: m(0) = {m0!r}, expected 1")
     probe = np.array(_PROBE_GRID)
-    left, right = filled(-probe)[0], filled(probe)[0]
+    left, right = filled(-probe, 0)[0], filled(probe, 0)[0]
     finite = np.isfinite(left) & np.isfinite(right)
     odd = np.flatnonzero(finite & (np.abs(left - right) > 1e-9 * np.maximum(1.0, np.abs(right))))
     stop = int(odd[0]) if odd.size else len(_PROBE_GRID)  # the first odd point ends the scan

@@ -12,6 +12,7 @@ samples from a fixed-seed generator.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
@@ -203,7 +204,17 @@ def cos_product_matrix(u: np.ndarray, n_out: int) -> np.ndarray:
     multiplication operators in Newton Jacobians.
     """
     f = cos_to_full(u, 2 * n_out)[2 * n_out :]
-    j = np.arange(n_out + 1)
-    t = f[np.abs(j[:, None] - j)] + f[j[:, None] + j]
+    diff, total = _product_indices(n_out)
+    t = f[diff] + f[total]
     t[0] = f[: n_out + 1]
     return t
+
+
+@functools.lru_cache(maxsize=16)
+def _product_indices(n_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """The |n-m| and n+m tables of cos_product_matrix, read-only."""
+    j = np.arange(n_out + 1)
+    tables = np.abs(j[:, None] - j), j[:, None] + j
+    for table in tables:
+        table.flags.writeable = False
+    return tables

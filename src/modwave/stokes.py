@@ -222,9 +222,10 @@ def newton_wave(
     (modes 0..n_modes; the q channel only for the bidirectional system)
     followed by the speed c.  The amplitude and phase are pinned by fixing
     the first cosine coefficient of u to its Stokes value.  Each kind
-    supplies its residual and its Jacobian, assembled densely from the
-    Toeplitz-plus-Hankel multiplication table and the diagonal multiplier;
-    the iteration itself is shared.
+    supplies its residual and refills its Jacobian, dense from the
+    Toeplitz-plus-Hankel multiplication table and the diagonal multiplier,
+    in place in one bordered system allocated per solve; the iteration
+    itself is shared.
     """
     if n_modes < 8:
         raise ValueError("n_modes must be >= 8")
@@ -240,49 +241,56 @@ def newton_wave(
     bidirectional = kind is EquationKind.BOUSSINESQ
     channels = [exp.u_cosines(n_modes)] + ([exp.q_cosines(n_modes)] if bidirectional else [])
     state = np.concatenate([*channels, [exp.speed()]])
+    # the bordered system: the Jacobian's rows, then the pin row d(u_hat[1]) = 0;
+    # refill writes every entry that depends on the state, the rest are set here
+    jac = np.zeros((state.size, state.size))
+    jac[-1, 1] = 1.0
+    rhs = np.empty(state.size)
 
     if bidirectional:
         m2vals = mvals**2
+        jac[:n, n:-1] = np.diag(m2vals)
 
         def residual(u, q, c):
             return np.concatenate([c * u + m2vals * q, c * q + u + cos_square(u, n_modes)])
 
-        def jacobian(u, q, c):
+        def refill(u, q, c):
             conv = cos_product_matrix(u, n_modes)
-            return np.block([
-                [c * ident, np.diag(m2vals), u[:, None]],
-                [ident + 2.0 * conv, c * ident, q[:, None]],
-            ])
+            jac[:n, :n] = jac[n:-1, n:-1] = c * ident
+            jac[:n, -1] = u
+            jac[n:-1, :n] = ident + 2.0 * conv
+            jac[n:-1, -1] = q
     elif kind is EquationKind.BBM:  # nonlinearity inside the multiplier
 
         def residual(u, q, c):
             return mvals * (u + cos_square(u, n_modes)) - c * u
 
-        def jacobian(u, q, c):
+        def refill(u, q, c):
             conv = cos_product_matrix(u, n_modes)
-            return np.hstack([mvals[:, None] * (ident + 2.0 * conv) - c * ident, -u[:, None]])
+            jac[:n, :n] = mvals[:, None] * (ident + 2.0 * conv) - c * ident
+            jac[:n, -1] = -u
     else:  # KdV: nonlinearity outside the multiplier
+        diag_m = np.diag(mvals)
 
         def residual(u, q, c):
             return mvals * u + cos_square(u, n_modes) - c * u
 
-        def jacobian(u, q, c):
+        def refill(u, q, c):
             conv = cos_product_matrix(u, n_modes)
-            return np.hstack([np.diag(mvals) + 2.0 * conv - c * ident, -u[:, None]])
+            jac[:n, :n] = diag_m + 2.0 * conv - c * ident
+            jac[:n, -1] = -u
 
-    pin_row = np.zeros((1, state.size))
-    pin_row[0, 1] = 1.0  # d(u_hat[1]) = 0
     for it in range(max_iter + 1):
         u, q, c = state[:n], state[n:-1], state[-1]
-        res = residual(u, q, c)
-        rnorm = float(np.linalg.norm(res))
+        rhs[:-1] = residual(u, q, c)
+        rnorm = float(np.linalg.norm(rhs[:-1]))
         if rnorm <= tol:
             return WaveSolution(kind, sym, k, a, n_modes, u, float(c), rnorm,
                                 q_hat=q if bidirectional else None, iterations=it)
         if it == max_iter:
             raise NoConvergence(it, rnorm)
-        jac = np.vstack([jacobian(u, q, c), pin_row])
-        rhs = np.concatenate([res, [u[1] - pin]])
+        refill(u, q, c)
+        rhs[-1] = u[1] - pin
         try:
             step = np.linalg.solve(jac, -rhs)
         except np.linalg.LinAlgError as exc:

@@ -339,6 +339,19 @@ def test_bad_value_is_one_config_error_line(argv, field, capsys):
     assert re.fullmatch(rf"error: config field '{field}': [^\n]+\n", err)
 
 
+@pytest.mark.parametrize("xi,field", [
+    (["--xi", "0.9"], "xi"), (["--xi", "-0.01"], "xi"), (["--xi-range", "0.9", "0.9"], "xi_range"),
+], ids=["xi-above-half", "xi-negative", "xi-range-above-half"])
+def test_xi_out_of_range_is_one_config_error_line(xi, field, capsys):
+    argv = ["spectrum", "--equation", "bbm", "--symbol", "bbm", "--k", "2", "--a", "0.01",
+            *xi, "--xi-steps", "1", "--n-modes", "8"]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    # after the asymptotic-cap warning, if any, one error line
+    assert re.fullmatch(rf"(warning: [^\n]+\n)?error: config field '{field}': need 0 <= [^\n]+\n", err)
+
+
 @pytest.mark.parametrize("data", [
     {"symbol": {"builtin": "fractional", "params": {"alpha": "x"}}, "equation": "bbm"},
     {"equation": "bbm", "symbol": {"builtin": "bbm"}, "k": "x"},

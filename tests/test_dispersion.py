@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modwave.dispersion import (
+    MAX_OPERATORS,
     DispersionSymbol,
     _parse,
     builtin_symbol,
@@ -205,6 +206,42 @@ def test_jet_at_removable_singularity():
     assert m2 == pytest.approx(-1.0 / 3.0, abs=1e-3)
 
 
+# both signs of zero, the Whitham series branch (|k| < 1e-6), negative k
+K_VALUE_ONLY = np.array([-3.0, -0.7, -1e-7, -0.0, 0.0, 5e-7, 1e-6, 2e-4, 0.5, 1.0, 1.7, 40.0])
+
+
+@pytest.mark.parametrize("name", ["bbm", "boussinesq", "whitham", "fractional"])
+def test_value_only_jet_is_the_jets_value_bit_for_bit(name):
+    if name == "fractional":  # a column of exponents, m(0) = inf at alpha <= 0
+        sym = fractional_symbol(np.array([[-1.0], [0.0], [0.5], [2.0], [3.7]]))
+    else:
+        sym = builtin_symbol(name)
+    k = np.concatenate([K_VALUE_ONLY, [np.inf, -np.inf, np.nan]])
+    with np.errstate(all="ignore"):
+        full = sym.jet(k)[0]
+        value = sym.jet(k, 0)
+        raw = sym.raw(k)
+    assert len(value) == 1
+    assert np.shape(value[0]) == np.shape(full) == np.shape(raw)
+    assert np.asarray(value[0]).tobytes() == np.asarray(full).tobytes()
+    assert np.asarray(raw).tobytes() == np.asarray(full).tobytes()
+
+
+@pytest.mark.parametrize("text", [
+    *BUILTIN_TEXT.values(),
+    "tanh(k)/k",  # removable singularity at 0, filled by the probe
+    "1+abs(k)^2.7", "abs(k)^k", "pow(2 + cos(k), k)", "exp(-k^2)*cos(k) - k/(2+k^2)",
+    "-(k*0)",  # -0.0 at k >= 0, 0.0 at k < 0
+])
+def test_value_only_expression_is_the_jets_value_bit_for_bit(text):
+    sym = parse_symbol(text)
+    full, (value,), raw = sym.jet(K_VALUE_ONLY)[0], sym.jet(K_VALUE_ONLY, 0), sym.raw(K_VALUE_ONLY)
+    assert value.tobytes() == full.tobytes()
+    assert raw.tobytes() == full.tobytes()
+    for k in (0.0, -0.0):  # a scalar is a 0-d call, filled alike
+        assert np.asarray(sym.raw(k)).tobytes() == np.asarray(sym.jet(k)[0]).tobytes()
+
+
 def test_parse_builtin_equivalence(bbm, boussinesq, whitham):
     rng = property_rng()
     by_name = {"bbm": bbm, "boussinesq": boussinesq, "whitham": whitham}
@@ -300,6 +337,21 @@ def test_parse_error_positions_index_the_original_text(text, position):
     with pytest.raises(ParseError) as err:
         parse_symbol(text, {"α": 1.0})
     assert err.value.position == position
+
+
+def test_operator_count_is_bounded_before_parsing():
+    # short chains inside parentheses: exactly the bound parses and evaluates
+    group = "(" + "+".join(["k"] * 100) + ")"
+    text = "+".join([group] * 100) + "+k"
+    assert text.count("+") == MAX_OPERATORS
+    assert eval_m(parse_symbol(text), 1.0) == 10_001.0
+    # one more is refused at that operator, before Python's parser runs
+    for longer, position in ((text + "-k", len(text)),
+                             ("+".join(["k"] * 200_000), 2 * MAX_OPERATORS + 1)):
+        with pytest.raises(ParseError) as err:
+            parse_symbol(longer)
+        assert str(err.value) == f"more than {MAX_OPERATORS} operators at position {position}"
+        assert err.value.position == position
 
 
 def test_rejected_inputs_the_grammar_once_took():

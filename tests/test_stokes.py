@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from modwave.dispersion import eval_m, parse_symbol
+from modwave.dispersion import builtin_symbol, eval_m, parse_symbol
 from modwave.errors import DegenerateResonance, NoConvergence
 from modwave.stokes import (
     EquationKind,
@@ -132,6 +132,21 @@ def test_newton_kdv(bbm):
     exp = kdv_expansion(bbm, 1.0, 0.01)
     assert sol.u_hat[2] / 0.01**2 == pytest.approx(exp.u2_cos2, rel=2e-3)
     assert sol.c == pytest.approx(exp.speed(), abs=1e-6)
+
+
+# iterations at a = 0.05, 0.1, 0.2 (k = 1, N = 32): a Jacobian entry left
+# stale from an earlier iteration slows the convergence and moves them
+@pytest.mark.parametrize("kind,name,counts", [
+    (EquationKind.BBM, "bbm", (2, 2, 3)),
+    (EquationKind.KDV, "whitham", (3, 3, 25)),
+    (EquationKind.BOUSSINESQ, "boussinesq", (2, 2, 2)),
+], ids=["bbm", "whitham", "boussinesq"])
+def test_newton_iteration_counts(kind, name, counts):
+    sym = builtin_symbol(name)
+    for a, count in zip((0.05, 0.1, 0.2), counts):
+        sol = newton_wave(kind, sym, 1.0, a, 32)
+        assert sol.iterations == count, a
+        assert sol.residual <= 1e-12
 
 
 def test_newton_requires_enough_modes(bbm):
