@@ -124,14 +124,14 @@ def cmd_diagram(cfg: RunConfig, args) -> int:
 def cmd_spectrum(cfg: RunConfig, args) -> int:
     sym = _resolve_symbol(cfg, args)
     kind = cfg.equation_kind()
+    xis = cfg.xi_values().tolist()  # a refused grid neither warns nor solves
     _warn_regime(cfg)
     ks = cfg.k_values().tolist()
     if len(ks) != 1:
         raise ConfigError("k", "spectrum needs a single --k")
     k = ks[0]
     wave = newton_wave(kind, sym, k, cfg.a, cfg.n_modes)
-    slices = [hill.spectrum(hill.assemble(kind, sym, wave, xi, cfg.n_modes))
-              for xi in cfg.xi_values().tolist()]
+    slices = [hill.spectrum(hill.assemble(kind, sym, wave, xi, cfg.n_modes)) for xi in xis]
     rows = []
     for sl in slices:
         vals = sl.eigenvalues

@@ -148,6 +148,10 @@ def bnesq_expansion(
     """Stokes coefficients for the bidirectional system (u, q channels)."""
     mk, m2k = eval_m(sym, k), eval_m(sym, 2 * k)
     mk2, m2k2 = mk * mk, m2k * m2k
+    # the coefficients divide by m(k) and m(2k)^2, and Newton's step by c ~ m(k)
+    for name, value in (("m(k)", mk), ("m(2k)", m2k)):
+        if abs(value) <= RESONANCE_TOL:
+            raise DegenerateResonance(f"{name}={value} too close to 0 at k={k}")
     if abs(mk2 - 1.0) <= RESONANCE_TOL:
         raise DegenerateResonance(f"m^2(k)={mk2} too close to 1")
     if abs(mk2 - m2k2) <= RESONANCE_TOL:
@@ -207,6 +211,85 @@ def _pin_value(kind: EquationKind, sym: DispersionSymbol, k: float, a: float) ->
     return a * eval_m(sym, k) if kind is EquationKind.BOUSSINESQ else a
 
 
+def _newton_system(kind: EquationKind, mvals: np.ndarray, k: float, pin: float):
+    """The residual and the Newton step of one kind, for the multiplier
+    values m(kn), n = 0..n_modes, and the pinned value of u_hat[1].
+
+    Every step refills one (n_modes+2)-square bordered system allocated
+    here, dense from the Toeplitz-plus-Hankel multiplication table and the
+    diagonal multiplier, and solves it.
+    """
+    n = mvals.size
+    n_modes = n - 1
+    ident = np.eye(n)
+    # n rows, then the pin row; each step writes every entry that depends on
+    # the state, the rest are set here
+    jac = np.zeros((n + 1, n + 1))
+    rhs = np.empty(n + 1)
+
+    def solve():
+        try:
+            return np.linalg.solve(jac, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateResonance(f"singular Newton system at k={k}: {exc}") from exc
+
+    if kind is EquationKind.BOUSSINESQ:
+        m2vals = mvals**2
+        jac[-1, 1] = -m2vals[1]
+
+        def residual(u, q, c):
+            return np.concatenate([c * u + m2vals * q, c * q + u + cos_square(u, n_modes)])
+
+        # Jacobian [[cI, M^2, u], [A, cI, q]] with A = I + 2 conv(u), M^2 = diag(m^2),
+        # bordered by the pin row.  Eliminating du = (-r1 - M^2 dq - u dc)/c through
+        # c, not through M^2 (whose entries decay and may vanish), leaves
+        # [[c^2 I - A M^2, c q - A u], [-m(k)^2 e1, -u1]] [dq; dc] = [A r1 - c r2; r1[1] - c r3]
+        def step(u, q, c, res):
+            if not (math.isfinite(c) and c != 0.0):
+                raise DegenerateResonance(
+                    f"Newton speed c={c} at k={k}: the bidirectional step divides by c")
+            r1, r2 = res[:n], res[n:]
+            amat = ident + 2.0 * cos_product_matrix(u, n_modes)
+            jac[:-1, :-1] = c * c * ident - amat * m2vals
+            jac[:-1, -1] = c * q - amat @ u
+            jac[-1, -1] = -u[1]
+            rhs[:-1] = amat @ r1 - c * r2
+            rhs[-1] = r1[1] - c * (u[1] - pin)
+            reduced = solve()
+            du = (-r1 - m2vals * reduced[:-1] - u * reduced[-1]) / c
+            return np.concatenate([du, reduced])
+
+        return residual, step
+
+    jac[-1, 1] = 1.0
+    if kind is EquationKind.BBM:  # nonlinearity inside the multiplier
+
+        def residual(u, q, c):
+            return mvals * (u + cos_square(u, n_modes)) - c * u
+
+        def refill(u, c):
+            conv = cos_product_matrix(u, n_modes)
+            jac[:n, :n] = mvals[:, None] * (ident + 2.0 * conv) - c * ident
+    else:  # KdV: nonlinearity outside the multiplier
+        diag_m = np.diag(mvals)
+
+        def residual(u, q, c):
+            return mvals * u + cos_square(u, n_modes) - c * u
+
+        def refill(u, c):
+            conv = cos_product_matrix(u, n_modes)
+            jac[:n, :n] = diag_m + 2.0 * conv - c * ident
+
+    def step(u, q, c, res):
+        refill(u, c)
+        jac[:n, -1] = -u
+        rhs[:-1] = -res
+        rhs[-1] = -(u[1] - pin)
+        return solve()
+
+    return residual, step
+
+
 def newton_wave(
     kind: EquationKind,
     sym: DispersionSymbol,
@@ -222,10 +305,8 @@ def newton_wave(
     (modes 0..n_modes; the q channel only for the bidirectional system)
     followed by the speed c.  The amplitude and phase are pinned by fixing
     the first cosine coefficient of u to its Stokes value.  Each kind
-    supplies its residual and refills its Jacobian, dense from the
-    Toeplitz-plus-Hankel multiplication table and the diagonal multiplier,
-    in place in one bordered system allocated per solve; the iteration
-    itself is shared.
+    supplies its residual and its step (`_newton_system`); the iteration
+    itself is shared.  A step that is not finite is refused.
     """
     if n_modes < 8:
         raise ValueError("n_modes must be >= 8")
@@ -235,67 +316,26 @@ def newton_wave(
         raise ValueError("max_iter must be >= 0")
     exp = expansion_for(kind, sym, k, a)
     n = n_modes + 1
-    mvals = eval_m(sym, k * np.arange(n))
-    pin = _pin_value(kind, sym, k, a)
-    ident = np.eye(n)
     bidirectional = kind is EquationKind.BOUSSINESQ
+    residual, step = _newton_system(kind, eval_m(sym, k * np.arange(n)), k,
+                                    _pin_value(kind, sym, k, a))
     channels = [exp.u_cosines(n_modes)] + ([exp.q_cosines(n_modes)] if bidirectional else [])
     state = np.concatenate([*channels, [exp.speed()]])
-    # the bordered system: the Jacobian's rows, then the pin row d(u_hat[1]) = 0;
-    # refill writes every entry that depends on the state, the rest are set here
-    jac = np.zeros((state.size, state.size))
-    jac[-1, 1] = 1.0
-    rhs = np.empty(state.size)
-
-    if bidirectional:
-        m2vals = mvals**2
-        jac[:n, n:-1] = np.diag(m2vals)
-
-        def residual(u, q, c):
-            return np.concatenate([c * u + m2vals * q, c * q + u + cos_square(u, n_modes)])
-
-        def refill(u, q, c):
-            conv = cos_product_matrix(u, n_modes)
-            jac[:n, :n] = jac[n:-1, n:-1] = c * ident
-            jac[:n, -1] = u
-            jac[n:-1, :n] = ident + 2.0 * conv
-            jac[n:-1, -1] = q
-    elif kind is EquationKind.BBM:  # nonlinearity inside the multiplier
-
-        def residual(u, q, c):
-            return mvals * (u + cos_square(u, n_modes)) - c * u
-
-        def refill(u, q, c):
-            conv = cos_product_matrix(u, n_modes)
-            jac[:n, :n] = mvals[:, None] * (ident + 2.0 * conv) - c * ident
-            jac[:n, -1] = -u
-    else:  # KdV: nonlinearity outside the multiplier
-        diag_m = np.diag(mvals)
-
-        def residual(u, q, c):
-            return mvals * u + cos_square(u, n_modes) - c * u
-
-        def refill(u, q, c):
-            conv = cos_product_matrix(u, n_modes)
-            jac[:n, :n] = diag_m + 2.0 * conv - c * ident
-            jac[:n, -1] = -u
-
     for it in range(max_iter + 1):
         u, q, c = state[:n], state[n:-1], state[-1]
-        rhs[:-1] = residual(u, q, c)
-        rnorm = float(np.linalg.norm(rhs[:-1]))
+        res = residual(u, q, c)
+        rnorm = float(np.linalg.norm(res))
         if rnorm <= tol:
             return WaveSolution(kind, sym, k, a, n_modes, u, float(c), rnorm,
                                 q_hat=q if bidirectional else None, iterations=it)
         if it == max_iter:
             raise NoConvergence(it, rnorm)
-        refill(u, q, c)
-        rhs[-1] = u[1] - pin
-        try:
-            step = np.linalg.solve(jac, -rhs)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateResonance(f"singular Newton system at k={k}: {exc}") from exc
-        state = state + step
+        # an overflow or a division by a vanishing speed is refused below, not warned of
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            delta = step(u, q, c, res)
+        if not np.isfinite(delta).all():
+            raise DegenerateResonance(f"non-finite Newton step at k={k}")
+        state = state + delta
 
 
 def wave_l2_norm(u_hat: np.ndarray) -> float:

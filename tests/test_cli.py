@@ -352,6 +352,36 @@ def test_xi_out_of_range_is_one_config_error_line(xi, field, capsys):
     assert re.fullmatch(rf"(warning: [^\n]+\n)?error: config field '{field}': need 0 <= [^\n]+\n", err)
 
 
+@pytest.mark.parametrize("xi,field", [
+    (["--xi", "0.9"], "xi"), (["--xi", "-0.01"], "xi"), (["--xi-range", "0.9", "0.9"], "xi_range"),
+    (["--xi-range", "0.3", "0.1"], "xi_range"), (["--xi-range", "0.2", "0.3", "--xi-steps", "0"],
+                                                 "xi_steps"),
+], ids=["xi-above-half", "xi-negative", "xi-range-above-half", "xi-range-reversed", "no-xi-steps"])
+def test_refused_xi_grid_neither_warns_nor_solves(xi, field, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("newton_wave ran for a refused xi grid")
+
+    monkeypatch.setattr("modwave.cli.newton_wave", no_solve)
+    argv = ["spectrum", "--equation", "boussinesq", "--symbol", "boussinesq", "--k", "2",
+            "--a", "0.01", *xi, "--n-modes", "8"]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(rf"error: config field '{field}': [^\n]+\n", err)
+
+
+@pytest.mark.parametrize("command", ["wave", "spectrum"])
+@pytest.mark.parametrize("k,name", [("1", "m(k)"), ("0.5", "m(2k)")])
+def test_zero_symbol_value_in_bidirectional_start_is_one_error_line(command, k, name, capsys):
+    # m(k) = 1 - k^2 vanishes at k = 1, and at 2k for k = 0.5
+    argv = [command, "--equation", "boussinesq", "--expr", "1-k^2", "--k", k, "--a", "0.01",
+            "--n-modes", "16", *(["--xi", "0.01"] if command == "spectrum" else [])]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {name}=0.0 too close to 0 at k={float(k)}\n"
+
+
 @pytest.mark.parametrize("data", [
     {"symbol": {"builtin": "fractional", "params": {"alpha": "x"}}, "equation": "bbm"},
     {"equation": "bbm", "symbol": {"builtin": "bbm"}, "k": "x"},

@@ -1,13 +1,18 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from modwave import stokes
 from modwave.dispersion import builtin_symbol, eval_m, parse_symbol
 from modwave.errors import DegenerateResonance, NoConvergence
+from modwave.numerics import cos_product_matrix, cos_square
 from modwave.stokes import (
     EquationKind,
+    _newton_system,
     bbm_expansion,
     bnesq_expansion,
     expansion_error,
@@ -82,6 +87,15 @@ def test_bnesq_zero_amplitude(boussinesq):
     assert exp.speed() == pytest.approx(eval_m(boussinesq, 2.0))
 
 
+@pytest.mark.parametrize("k,name", [(1.0, "m(k)"), (0.5, "m(2k)")])
+def test_bnesq_expansion_refuses_zero_symbol_values(k, name):
+    sym = parse_symbol("1-k^2")  # m(1) = 0
+    with pytest.raises(DegenerateResonance, match=rf"^{re.escape(name)}=0.0 too close to 0 at k={k}$"):
+        bnesq_expansion(sym, k, 0.01)
+    with pytest.raises(DegenerateResonance, match=re.escape(name)):
+        newton_wave(EquationKind.BOUSSINESQ, sym, k, 0.01, 16)
+
+
 def test_bnesq_constant_state_speed_squared(boussinesq):
     for k in (0.5, 1.0, 3.0):
         exp = bnesq_expansion(boussinesq, k, 0.0)
@@ -147,6 +161,59 @@ def test_newton_iteration_counts(kind, name, counts):
         sol = newton_wave(kind, sym, 1.0, a, 32)
         assert sol.iterations == count, a
         assert sol.residual <= 1e-12
+
+
+def _full_bidirectional_step(u, q, c, m2vals, pin, n_modes):
+    """Newton step of the whole bordered system: the Jacobian
+    [[cI, M^2, u], [A, cI, q]] with A = I + 2 conv(u), then the pin row."""
+    n = u.size
+    ident = np.eye(n)
+    jac = np.zeros((2 * n + 1, 2 * n + 1))
+    jac[:n, :n] = c * ident
+    jac[:n, n:-1] = np.diag(m2vals)
+    jac[:n, -1] = u
+    jac[n:-1, :n] = ident + 2.0 * cos_product_matrix(u, n_modes)
+    jac[n:-1, n:-1] = c * ident
+    jac[n:-1, -1] = q
+    jac[-1, 1] = 1.0
+    res = np.concatenate([c * u + m2vals * q, c * q + u + cos_square(u, n_modes), [u[1] - pin]])
+    return np.linalg.solve(jac, -res)
+
+
+@pytest.mark.parametrize("k,a,n_modes", [
+    (1.0, 0.01, 32), (1.7, 0.05, 64), (0.6, 0.2, 32), (1.0, 0.2, 128), (2.3, 0.1, 128),
+])
+def test_reduced_bidirectional_step_solves_the_full_system(boussinesq, k, a, n_modes):
+    n = n_modes + 1
+    mvals = eval_m(boussinesq, k * np.arange(n))
+    pin = a * mvals[1]
+    residual, step = _newton_system(EquationKind.BOUSSINESQ, mvals, k, pin)
+    exp = bnesq_expansion(boussinesq, k, a)
+    start = (exp.u_cosines(n_modes), exp.q_cosines(n_modes), exp.speed())
+    rng = np.random.default_rng(7)
+    # the Stokes start meets the pin exactly; a perturbed state does not
+    perturbed = tuple(x + 1e-3 * a * rng.standard_normal(np.shape(x)) for x in start)
+    for u, q, c in (start, perturbed):
+        reduced = step(u, q, c, residual(u, q, c))
+        full = _full_bidirectional_step(u, q, c, mvals**2, pin, n_modes)
+        assert np.linalg.norm(reduced - full) <= 1e-13 * np.linalg.norm(full)
+
+
+def test_newton_bidirectional_refuses_zero_speed(boussinesq, monkeypatch):
+    start = stokes.expansion_for(EquationKind.BOUSSINESQ, boussinesq, 1.0, 0.01)
+    monkeypatch.setattr(stokes, "expansion_for",
+                        lambda *args: dataclasses.replace(start, c0=0.0, c2=0.0))
+    with pytest.raises(DegenerateResonance, match=r"c=0\.0 at k=1\.0"):
+        newton_wave(EquationKind.BOUSSINESQ, boussinesq, 1.0, 0.01, 16)
+
+
+def test_newton_refuses_a_non_finite_step(boussinesq, monkeypatch):
+    # a subnormal speed: dividing by it overflows du
+    start = stokes.expansion_for(EquationKind.BOUSSINESQ, boussinesq, 1.0, 0.01)
+    monkeypatch.setattr(stokes, "expansion_for",
+                        lambda *args: dataclasses.replace(start, c0=5e-324, c2=0.0))
+    with pytest.raises(DegenerateResonance, match=r"^non-finite Newton step at k=1\.0$"):
+        newton_wave(EquationKind.BOUSSINESQ, boussinesq, 1.0, 0.01, 16)
 
 
 def test_newton_requires_enough_modes(bbm):
