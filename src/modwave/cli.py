@@ -2,6 +2,8 @@
 
 Subcommands: index, diagram, spectrum, wave, resonances, validate.
 Options come from an optional JSON config file plus flags; flags win.
+Both reach a command through one RunConfig.parse, and every refused
+argument ends the run as one ``error:`` line with exit status 2.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import hill, indices, output, pencil, validation
-from .config import RunConfig, load_config, merge_overrides
+from .config import RunConfig, load_config
 from .dispersion import DispersionSymbol, check_assumptions, fractional_symbol, symbol_from_config
 from .errors import ConfigError, ModwaveError
 from .indices import Verdict
@@ -60,9 +62,7 @@ def _emit_csv(cfg: RunConfig, header, rows, preamble=()) -> None:
     if cfg.output:
         output.write_csv(cfg.output, header, rows, preamble)
     else:
-        for line in preamble:
-            print(f"# {line}")
-        sys.stdout.write(output.csv_text(header, rows))
+        sys.stdout.write(output.csv_text(header, rows, preamble))
 
 
 def _warn_regime(cfg: RunConfig) -> None:
@@ -117,7 +117,7 @@ def cmd_diagram(cfg: RunConfig, args) -> int:
             ("ind_bbm = 0", [(a, kb) for a, kb, _ in curve_rows if kb is not None]),
             ("ind_bnesq = 0", [(a, kq) for a, _, kq in curve_rows if kq is not None]),
         ]
-        output.write_svg(cfg.svg, output.svg_level_curves(curves, "alpha", "k"))
+        output.write_text(cfg.svg, output.svg_level_curves(curves, "alpha", "k"))
     return 0
 
 
@@ -126,10 +126,7 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     kind = cfg.equation_kind()
     xis = cfg.xi_values().tolist()  # a refused grid neither warns nor solves
     _warn_regime(cfg)
-    ks = cfg.k_values().tolist()
-    if len(ks) != 1:
-        raise ConfigError("k", "spectrum needs a single --k")
-    k = ks[0]
+    k = cfg.single_k("spectrum")
     wave = newton_wave(kind, sym, k, cfg.a, cfg.n_modes)
     slices = [hill.spectrum(hill.assemble(kind, sym, wave, xi, cfg.n_modes)) for xi in xis]
     rows = []
@@ -158,10 +155,7 @@ def cmd_wave(cfg: RunConfig, args) -> int:
     sym = _resolve_symbol(cfg, args)
     kind = cfg.equation_kind()
     _warn_regime(cfg)
-    ks = cfg.k_values().tolist()
-    if len(ks) != 1:
-        raise ConfigError("k", "wave needs a single --k")
-    sol = newton_wave(kind, sym, ks[0], cfg.a, cfg.n_modes, tol=cfg.tol)
+    sol = newton_wave(kind, sym, cfg.single_k("wave"), cfg.a, cfg.n_modes, tol=cfg.tol)
     preamble = [
         f"equation={kind.value} symbol={sym.name}",
         f"k={sol.k!r} a={sol.a!r} c={sol.c!r} residual={sol.residual!r}",
@@ -285,16 +279,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 #: every config field a flag can set: all but the symbol, which _resolve_symbol reads
-_OVERRIDE_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig) if f.name != "symbol")
+_FLAG_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig) if f.name != "symbol")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
-        overrides = {key: getattr(args, key) for key in _OVERRIDE_KEYS if hasattr(args, key)}
-        cfg = merge_overrides(cfg, overrides)
-        return args.fn(cfg, args)
+        # the file is checked on its own first, so a bad value in it is refused
+        # even where a flag overrides it
+        file_values = load_config(args.config).emit() if args.config else {}
+        flags = {key: getattr(args, key) for key in _FLAG_KEYS
+                 if getattr(args, key, None) is not None}
+        return args.fn(RunConfig.parse({**file_values, **flags}), args)
     except ModwaveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

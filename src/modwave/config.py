@@ -1,9 +1,9 @@
-"""Run configuration: JSON file, flag overrides, validation."""
+"""Run configuration: the JSON file's values and the flags, parsed and validated as one."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 import numpy as np
@@ -66,6 +66,13 @@ class RunConfig:
             raise ConfigError("k", f"need k > 0, got {self.k}")
         return self._values("k", self.k, self.k_range, self.k_steps,
                             lambda lo, hi: 0 < lo <= hi, "0 < lo <= hi")
+
+    def single_k(self, command: str) -> float:
+        """The one wave number a command that solves a wave needs."""
+        ks = self.k_values().tolist()
+        if len(ks) != 1:
+            raise ConfigError("k", f"{command} needs a single --k")
+        return ks[0]
 
     def xi_values(self) -> np.ndarray:
         if self.xi is not None and not 0 <= self.xi <= 0.5:
@@ -131,12 +138,3 @@ def load_config(path: str) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("<file>", "top-level JSON value must be an object")
     return RunConfig.parse(data)
-
-
-def merge_overrides(cfg: RunConfig, overrides: dict[str, Any]) -> RunConfig:
-    """Apply non-None override values on top of a config; flags win."""
-    changes = {key: val for key, val in overrides.items() if val is not None}
-    for key in ("k_range", "xi_range", "alpha_range"):
-        if key in changes:
-            changes[key] = tuple(changes[key])
-    return replace(cfg, **changes)

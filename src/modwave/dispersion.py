@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .errors import EmptyGrid, NonFinite, ParseError
+from .errors import EmptyGrid, InvalidArgument, NonFinite, ParseError
 from .numerics import scan_roots, unbox
 
 #: second-order Taylor jet (f, f', f'') of a function, elementwise over k;
@@ -34,22 +34,19 @@ class DispersionSymbol:
 
     ``jet(k)`` returns (m, m', m'') elementwise over a scalar or an array
     of k; a scalar is a 0-d call of the same code.  ``jet(k, 0)`` stops
-    after the value and returns (m,).  ``raw`` is the value as supplied,
-    at any sign of k (used for evenness checks); every built-in and
-    expression takes it from the order-0 jet, so no formula is written
-    twice.
+    after the value and returns (m,).  A symbol is its jet: no formula
+    is written twice.
     Public evaluation goes through :func:`eval_m` and :func:`jet_m`, which
     symmetrize to |k|.
     """
 
     name: str
-    raw: Callable[[ArrayLike], np.ndarray]
-    jet: Callable[[ArrayLike], Jet]
+    jet: Callable[..., Jet]
     warnings: tuple[str, ...] = ()
 
-
-def _from_jet(name: str, jet: Callable[..., Jet], warnings=()) -> DispersionSymbol:
-    return DispersionSymbol(name=name, raw=lambda k: jet(k, 0)[0], jet=jet, warnings=warnings)
+    def raw(self, k: ArrayLike) -> np.ndarray:
+        """The value as supplied, at any sign of k (used for evenness checks)."""
+        return self.jet(k, 0)[0]
 
 
 def _require_finite(k: np.ndarray, ok: np.ndarray, message: Callable[[float], str]) -> None:
@@ -170,7 +167,7 @@ def bbm_symbol() -> DispersionSymbol:
             return (m,)
         return m, -2.0 * k / np.float_power(q, 2), (6.0 * k * k - 2.0) / np.float_power(q, 3)
 
-    return _from_jet("bbm", jet)
+    return DispersionSymbol("bbm", jet)
 
 
 def boussinesq_symbol() -> DispersionSymbol:
@@ -184,7 +181,7 @@ def boussinesq_symbol() -> DispersionSymbol:
             return (m,)
         return m, -k * np.float_power(q, -1.5), (2.0 * k * k - 1.0) * np.float_power(q, -2.5)
 
-    return _from_jet("boussinesq", jet)
+    return DispersionSymbol("boussinesq", jet)
 
 
 def fractional_symbol(alpha) -> DispersionSymbol:
@@ -208,7 +205,7 @@ def fractional_symbol(alpha) -> DispersionSymbol:
             return m, np.where(k < 0.0, -alpha * p1, alpha * p1), alpha * (alpha - 1.0) * p2
 
     name = f"fractional(alpha={alpha:g})" if np.ndim(alpha) == 0 else "fractional(alpha per row)"
-    return _from_jet(name, jet)
+    return DispersionSymbol(name, jet)
 
 
 def _whitham_jet(k: ArrayLike, order: int = 2) -> Jet:
@@ -231,7 +228,7 @@ def _whitham_jet(k: ArrayLike, order: int = 2) -> Jet:
 
 def whitham_symbol() -> DispersionSymbol:
     """m(k) = sqrt(tanh(k)/k), with m(0) = 1 by the Taylor limit."""
-    return _from_jet("whitham", _whitham_jet)
+    return DispersionSymbol("whitham", _whitham_jet)
 
 
 _BUILTINS: dict[str, Callable[..., DispersionSymbol]] = {
@@ -441,7 +438,7 @@ def parse_symbol(expr: str, params: dict[str, float] | None = None) -> Dispersio
     if odd.size:
         warnings.append(f"evenness violated: m({-_PROBE_GRID[stop]}) != m({_PROBE_GRID[stop]})")
 
-    return _from_jet(f"expr[{expr}]", jet, warnings=tuple(warnings))
+    return DispersionSymbol(f"expr[{expr}]", jet, warnings=tuple(warnings))
 
 
 def symbol_from_config(spec: dict) -> DispersionSymbol:
@@ -497,7 +494,7 @@ def check_assumptions(
     if grid.size == 0:
         raise EmptyGrid("k_grid is empty")
     if n_max < 2:
-        raise ValueError("n_max must be >= 2")
+        raise InvalidArgument("n_max must be >= 2")
 
     # (M1): the jet is finite and consistent with central differences
     try:

@@ -78,6 +78,10 @@ class UnsupportedKind(ModwaveError):
     """Operation is not defined for the requested equation kind."""
 
 
+class InvalidArgument(ModwaveError, ValueError):
+    """A library function was called with an argument outside its domain."""
+
+
 class ConfigError(ModwaveError):
     """Invalid run configuration."""
 

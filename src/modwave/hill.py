@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import DispersionSymbol, eval_m, group_speed
-from .errors import EigenFailure, MatchFailure, TruncationTooSmall, UnsupportedKind
+from .errors import EigenFailure, InvalidArgument, MatchFailure, TruncationTooSmall, UnsupportedKind
 from .numerics import cos_to_full, scan_roots
 from .pencil import build_pencil
 from .stokes import EquationKind, WaveSolution, newton_wave
@@ -35,10 +35,9 @@ ZERO_SNAP = 1e-12
 
 @dataclass(frozen=True)
 class BlochOperator:
-    kind: EquationKind
-    k: float
+    """One Floquet-Bloch slice; the kind, k and amplitude are the wave's."""
+
     xi: float
-    a: float
     n_modes: int
     real: np.ndarray  # R = M/i
     wave: WaveSolution
@@ -76,12 +75,12 @@ def assemble(
     both rows of the block scaled by n+xi.
 
     ``sym`` must be the symbol object the wave was solved with, since
-    ``spectrum`` reads ``wave.sym``; another one raises ValueError.
+    ``spectrum`` reads ``wave.sym``; another one raises InvalidArgument.
     """
     if wave.kind is not kind:
-        raise ValueError(f"wave solves {wave.kind}, requested {kind}")
+        raise InvalidArgument(f"wave solves {wave.kind}, requested {kind}")
     if sym is not wave.sym:
-        raise ValueError("sym is not the symbol the wave was solved with")
+        raise InvalidArgument("sym is not the symbol the wave was solved with")
     if n_modes < wave.n_modes:
         raise TruncationTooSmall(
             f"operator truncation {n_modes} below the wave's {wave.n_modes}"
@@ -108,7 +107,7 @@ def assemble(
         blocks[diag, 0, diag, 0] = blocks[diag, 1, diag, 1] = shifted * c
         # float_power rounds like the scalar m(ks)**2; numpy's x**2 is x*x
         blocks[diag, 0, diag, 1] = shifted * np.float_power(mvals, 2)
-    return BlochOperator(kind, k, xi, wave.a, n_modes, real, wave)
+    return BlochOperator(xi, n_modes, real, wave)
 
 
 def spectrum(op: BlochOperator) -> SpectrumSlice:
@@ -131,7 +130,7 @@ def spectrum(op: BlochOperator) -> SpectrumSlice:
     vals = vals[np.lexsort((vals.imag, vals.real))]
     vals = np.where(np.abs(vals) <= ZERO_SNAP, 0.0, vals)
     # matching radius 10 xi (1 + max group speed over the first modes)
-    gmax = np.max(np.abs(group_speed(op.wave.sym, op.k * (np.array([-1, 0, 1]) + op.xi))))
+    gmax = np.max(np.abs(group_speed(op.wave.sym, op.wave.k * (np.array([-1, 0, 1]) + op.xi))))
     near = vals[np.abs(vals) <= 10.0 * op.xi * (1.0 + gmax)]
     return SpectrumSlice(
         xi=op.xi,
@@ -203,7 +202,7 @@ def _collision_layout(kind: EquationKind, n_range, xi_steps: int, pairs) -> _Col
             pairs = list(itertools.combinations(ns, 2))
         selfs = [p for p in pairs if p[0] == p[1]]
         if selfs:
-            raise ValueError(f"mode pairs {selfs} pair a mode with itself")
+            raise InvalidArgument(f"mode pairs {selfs} pair a mode with itself")
         combos = [((n1, -1), (n2, -1)) for n1, n2 in pairs]
     else:
         raise UnsupportedKind("collision scan supports the BBM-type and bidirectional kinds")

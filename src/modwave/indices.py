@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .dispersion import DispersionSymbol, eval_m, jet_m
-from .errors import UnsupportedKind
+from .errors import InvalidArgument, UnsupportedKind
 from .numerics import scan_roots, unbox
 from .stokes import EquationKind
 
@@ -72,7 +72,7 @@ def _base(sym: DispersionSymbol, k) -> tuple[tuple[np.ndarray, ...], np.ndarray]
     elementwise over k."""
     k = np.asarray(k, dtype=float)
     if np.any(k <= 0):
-        raise ValueError("k must be positive")
+        raise InvalidArgument("k must be positive")
     m, mp, mpp = jet_m(sym, k)
     m2 = eval_m(sym, 2 * k)
     i1 = 2.0 * mp + k * mpp
@@ -173,7 +173,7 @@ def find_resonances(
     """
     k_lo, k_hi = k_range
     if not (0 < k_lo < k_hi):
-        raise ValueError("need 0 < k_lo < k_hi")
+        raise InvalidArgument("need 0 < k_lo < k_hi")
     grid = np.linspace(k_lo, k_hi, samples)
     # columns of _columns: i1, i2-, [i2+], i3-, [i3+], i_eq
     cols = np.array([0, 1, 2, 3, 4, 5] if kind is EquationKind.BOUSSINESQ else [0, 1, 3, 5])
@@ -206,7 +206,7 @@ def critical_wavenumber(
     """
     k_lo, k_hi = k_range
     if not (0 < k_lo < k_hi):
-        raise ValueError("need 0 < k_lo < k_hi")
+        raise InvalidArgument("need 0 < k_lo < k_hi")
     grid = np.linspace(k_lo, k_hi, samples)
     *_, value, denom = _columns(kind, sym, grid)
     first = [hits[0] if hits else None for hits in scan_roots(

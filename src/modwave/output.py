@@ -25,24 +25,28 @@ def _format_column(column: tuple) -> Iterable[str]:
     return map(format_cell, column)
 
 
-def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """Header and rows as CSV text, formatted column by column."""
+def csv_text(header: Sequence[str], rows: Iterable[Sequence],
+             preamble: Sequence[str] = ()) -> str:
+    """Preamble lines as ``# `` comments, then header and rows as CSV text,
+    formatted column by column."""
     columns = map(_format_column, zip(*rows))
     lines = map(",".join, zip(*columns))
-    return "\n".join([",".join(header), *lines]) + "\n"
+    return "\n".join([*(f"# {line}" for line in preamble), ",".join(header), *lines]) + "\n"
 
 
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence],
-              preamble: Sequence[str] = ()) -> None:
-    text = "".join(f"# {line}\n" for line in preamble) + csv_text(header, rows)
+def write_text(path: str, text: str) -> None:
+    """The one way a file is written: UTF-8 with LF line endings."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence],
+              preamble: Sequence[str] = ()) -> None:
+    write_text(path, csv_text(header, rows, preamble))
+
+
 def write_json(path: str, payload) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def svg_level_curves(
@@ -110,7 +114,3 @@ def svg_level_curves(
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
-
-def write_svg(path: str, svg: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(svg)

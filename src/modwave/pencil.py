@@ -34,6 +34,7 @@ from .dispersion import DispersionSymbol, eval_m, jet_m
 from .errors import (
     DegenerateResonance,
     DegreeMismatch,
+    InvalidArgument,
     LeadingZero,
     NotRescalable,
     UnsupportedKind,
@@ -62,7 +63,7 @@ class ReducedPencil:
     def eigenvalues(self) -> np.ndarray:
         """Roots of det(B - lambda I); approximate near-origin spectrum."""
         if self.b_matrix.ndim != 2:
-            raise ValueError("expected a single pencil, got a stack")
+            raise InvalidArgument("expected a single pencil, got a stack")
         vals = np.linalg.eigvals(np.linalg.solve(self.i_matrix, self.b_matrix))
         order = np.lexsort((vals.imag, vals.real))
         return vals[order]
@@ -73,7 +74,7 @@ def _symbol_columns(sym: DispersionSymbol, k) -> tuple[np.ndarray, ...]:
     array call of the jet; a one-k build is the same code on one element."""
     ks = np.atleast_1d(np.asarray(k, dtype=float))
     if np.any(ks <= 0):
-        raise ValueError("k must be positive")
+        raise InvalidArgument("k must be positive")
     return ks, *jet_m(sym, ks), eval_m(sym, 2 * ks)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import DispersionSymbol, eval_m
-from .errors import DegenerateResonance, NoConvergence
+from .errors import DegenerateResonance, InvalidArgument, NoConvergence
 from .numerics import cos_product_matrix, cos_square
 
 #: resonant denominators smaller than this are refused
@@ -80,7 +80,7 @@ class StokesExpansion:
 
     def q_cosines(self, n_modes: int) -> np.ndarray:
         if self.q1 is None:
-            raise ValueError("q-channel only exists for the bidirectional system")
+            raise InvalidArgument("q-channel only exists for the bidirectional system")
         a = self.a
         out = np.zeros(n_modes + 1)
         out[0] = self.q0_b1 * self.b1 + self.q0_b2 * self.b2 + a * a * self.q2_mean
@@ -309,11 +309,11 @@ def newton_wave(
     itself is shared.  A step that is not finite is refused.
     """
     if n_modes < 8:
-        raise ValueError("n_modes must be >= 8")
+        raise InvalidArgument("n_modes must be >= 8")
     if k <= 0:
-        raise ValueError("k must be positive")
+        raise InvalidArgument("k must be positive")
     if max_iter < 0:
-        raise ValueError("max_iter must be >= 0")
+        raise InvalidArgument("max_iter must be >= 0")
     exp = expansion_for(kind, sym, k, a)
     n = n_modes + 1
     bidirectional = kind is EquationKind.BOUSSINESQ

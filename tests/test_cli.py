@@ -12,9 +12,9 @@ import pytest
 
 import modwave
 from modwave.cli import build_parser, cmd_diagram, main
-from modwave.config import RunConfig, load_config, merge_overrides
+from modwave.config import RunConfig, load_config
 from modwave.dispersion import fractional_symbol
-from modwave.errors import ConfigError
+from modwave.errors import ConfigError, InvalidArgument, ModwaveError
 from modwave.indices import Verdict, ind
 from modwave.pencil import pencil_verdict
 from modwave.stokes import EquationKind
@@ -404,11 +404,51 @@ def test_bad_expression_is_one_error_line(expr, capsys):
     assert re.fullmatch(r"error: [^\n]+ at position \d+[^\n]*\n", err)
 
 
-def test_merge_overrides_none_keeps_config():
-    cfg = RunConfig(equation="bbm", k=1.5)
-    merged = merge_overrides(cfg, {"k": None, "a": 0.02})
-    assert merged.k == 1.5
-    assert merged.a == 0.02
+def test_file_and_flags_reach_the_command_through_one_parse(tmp_path, capsys):
+    point, span, bad = (tmp_path / name for name in ("point.json", "span.json", "bad.json"))
+    bbm = {"equation": "bbm", "symbol": {"builtin": "bbm"}}
+    point.write_text(json.dumps({**bbm, "k": 1.5, "a": 0.02, "n_modes": 16}))
+    span.write_text(json.dumps({**bbm, "k_range": [1, 2], "k_steps": 3}))
+    bad.write_text(json.dumps({**bbm, "k": "x"}))
+    # a missing flag keeps the file's value; a flag wins over the file
+    assert run(["wave", "--config", str(point), "--a", "0.01"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("# k=1.5 a=0.01 c=")
+    assert run(["index", "--config", str(span)]) == 0
+    assert [row.split(",")[0] for row in capsys.readouterr().out.splitlines()[1:]] == [
+        "1.0", "1.5", "2.0"]
+    assert run(["index", "--config", str(span), "--k-range", "0.5", "1.5"]) == 0
+    assert [row.split(",")[0] for row in capsys.readouterr().out.splitlines()[1:]] == [
+        "0.5", "1.0", "1.5"]
+    # a bad value in the file is refused even where a flag overrides it
+    assert run(["index", "--config", str(bad), "--k", "2"]) == 2
+    assert capsys.readouterr() == ("", "error: config field 'k': expected float | None, got 'x'\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["resonances", "--equation", "bbm", "--symbol", "bbm", "--k-range", "3", "1"],
+     "need 0 < k_lo < k_hi"),
+    (["resonances", "--equation", "bbm", "--symbol", "bbm", "--k-range", "0", "1"],
+     "need 0 < k_lo < k_hi"),
+    (["diagram", "--k-range", "1", "1", "--k-steps", "5"], "need 0 < k_lo < k_hi"),
+    (["diagram", "--k-range", "0.05", "3", "--k-steps", "1"], "need 0 < k_lo < k_hi"),
+    (["resonances", "--equation", "bbm", "--symbol", "bbm", "--k-range", "0.5", "3",
+      "--n-max", "1"], "n_max must be >= 2"),
+    (["spectrum", "--equation", "bbm", "--symbol", "bbm", "--k", "2", "--a", "0.01",
+      "--xi", "0.01", "--n-modes", "7"], "n_modes must be >= 8"),
+    (["wave", "--equation", "bbm", "--symbol", "bbm", "--k", "2", "--a", "0.01",
+      "--n-modes", "7"], "n_modes must be >= 8"),
+], ids=["resonances-reversed-range", "resonances-range-from-zero", "diagram-one-point-range",
+        "diagram-one-k-step", "resonances-n-max-1", "spectrum-n-modes-7", "wave-n-modes-7"])
+def test_refused_argument_is_one_error_line(argv, message, capsys):
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_invalid_argument_is_a_value_error_and_a_modwave_error():
+    assert issubclass(InvalidArgument, ValueError)
+    assert issubclass(InvalidArgument, ModwaveError)
 
 
 def test_regime_warning(tmp_path, capsys):

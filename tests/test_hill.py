@@ -309,9 +309,9 @@ def _hamiltonian_factors(op, sym):
     m = eval_m(sym, wave.k * s)
     conv = 2.0 * cos_to_full(wave.u_hat, 2 * n)[np.subtract.outer(modes, modes) + 2 * n]
     eye = np.eye(modes.size)
-    if op.kind is EquationKind.KDV:
+    if op.wave.kind is EquationKind.KDV:
         return np.diag(s), np.diag(m - wave.c) + conv
-    if op.kind is EquationKind.BBM:
+    if op.wave.kind is EquationKind.BBM:
         return np.diag(s * m), np.diag(wave.c / m) - eye - conv
     u_only, q_only = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -188,15 +188,11 @@ def test_ind_columns_match_one_k_reports(kind, bbm, frac3):
 def test_ind_evaluates_symbol_once_per_k(kind, bbm):
     calls = {"jet": 0, "raw": 0}
 
-    def jet(k):
-        calls["jet"] += 1
-        return bbm.jet(k)
+    def jet(k, order=2):  # order 0 is the value-only call behind raw
+        calls["jet" if order else "raw"] += 1
+        return bbm.jet(k, order)
 
-    def raw(k):
-        calls["raw"] += 1
-        return bbm.raw(k)
-
-    counting = replace(bbm, raw=raw, jet=jet)
+    counting = replace(bbm, jet=jet)
     report = ind(kind, counting, 1.3)
     assert calls == {"jet": 1, "raw": 1}
     assert report == ind(kind, bbm, 1.3)
