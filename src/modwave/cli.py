@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import functools
 import keyword
+import math
 import sys
 from typing import Sequence
 
@@ -44,11 +45,12 @@ def _resolve_symbol(cfg: RunConfig, args) -> DispersionSymbol:
     else:
         raise ConfigError("symbol", "need --symbol, --expr, or a config entry")
     params = spec.get("params", {})
-    # numbers, under names an expression can spell: Python keywords are not names
+    # finite numbers, under names an expression can spell: Python keywords are not names
     if not isinstance(params, dict) or not all(
-            type(value) in (int, float) and not keyword.iskeyword(name)
+            type(value) in (int, float) and math.isfinite(value) and not keyword.iskeyword(name)
             for name, value in params.items()):
-        raise ConfigError("symbol", f"expected numbers named by non-keywords, got {params!r}")
+        raise ConfigError("symbol",
+                          f"expected finite numbers named by non-keywords, got {params!r}")
     try:
         sym = symbol_from_config(spec)
     except (KeyError, TypeError) as exc:  # an unknown builtin, or its parameters wrong

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any
 
@@ -117,14 +118,17 @@ class RunConfig:
 
 def _fits(val, annotation: str) -> bool:
     """Whether a JSON value has the type of a field annotated e.g.
-    'float | None'; a tuple field takes a [lo, hi] pair of numbers."""
+    'float | None'; a tuple field takes a [lo, hi] pair of numbers.
+    Every float must be finite: an inf or a nan is refused here, not
+    passed on to the numerics."""
     if val is None:
         return annotation.endswith("None")
     if annotation.startswith("tuple"):
         return (isinstance(val, (list, tuple)) and len(val) == 2
                 and all(_fits(v, "float") for v in val))
     wanted = {"str": str, "dict": dict, "float": (int, float), "int": int}[annotation.split(" ")[0]]
-    return isinstance(val, wanted) and not isinstance(val, bool)
+    return (isinstance(val, wanted) and not isinstance(val, bool)
+            and (not isinstance(val, float) or math.isfinite(val)))
 
 
 def load_config(path: str) -> RunConfig:

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .errors import EmptyGrid, InvalidArgument, NonFinite, ParseError
+from .errors import InvalidArgument, NonFinite, ParseError
 from .numerics import scan_roots, unbox
 
 #: second-order Taylor jet (f, f', f'') of a function, elementwise over k;
@@ -492,7 +492,7 @@ def check_assumptions(
     """
     grid = np.asarray(sorted(k_grid), dtype=float)
     if grid.size == 0:
-        raise EmptyGrid("k_grid is empty")
+        raise InvalidArgument("k_grid is empty")
     if n_max < 2:
         raise InvalidArgument("n_max must be >= 2")
 

@@ -11,10 +11,6 @@ class NonFinite(ModwaveError):
     """A numerical evaluation produced NaN or infinity."""
 
 
-class EmptyGrid(ModwaveError):
-    """A sample grid argument was empty."""
-
-
 class ParseError(ModwaveError):
     """Symbol expression could not be parsed.
 
@@ -46,24 +42,8 @@ class NoConvergence(ModwaveError):
         )
 
 
-class TruncationTooSmall(ModwaveError):
-    """Requested operator truncation is smaller than the wave's."""
-
-
 class EigenFailure(ModwaveError):
     """Dense eigenvalue computation did not converge."""
-
-
-class NoBracket(ModwaveError):
-    """Root-finding bracket endpoints do not have opposite signs."""
-
-
-class LeadingZero(ModwaveError):
-    """Polynomial leading coefficient is zero."""
-
-
-class DegreeMismatch(ModwaveError):
-    """Polynomial has the wrong degree for the requested discriminant."""
 
 
 class NotRescalable(ModwaveError):
@@ -72,10 +52,6 @@ class NotRescalable(ModwaveError):
 
 class MatchFailure(ModwaveError):
     """Eigenvalue assignment residual exceeded the admissible spacing."""
-
-
-class UnsupportedKind(ModwaveError):
-    """Operation is not defined for the requested equation kind."""
 
 
 class InvalidArgument(ModwaveError, ValueError):

@@ -24,13 +24,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import DispersionSymbol, eval_m, group_speed
-from .errors import EigenFailure, InvalidArgument, MatchFailure, TruncationTooSmall, UnsupportedKind
+from .errors import EigenFailure, InvalidArgument, MatchFailure
 from .numerics import cos_to_full, scan_roots
 from .pencil import build_pencil
 from .stokes import EquationKind, WaveSolution, newton_wave
 
 #: eigenvalues below this modulus are snapped to zero for multiplicity counts
 ZERO_SNAP = 1e-12
+#: eigenvalues within this modulus of the origin count towards its multiplicity
+ZERO_RADIUS = 1e-8
+#: xi samples over (0, 1/2] of a collision scan
+COLLISION_XI_STEPS = 512
+#: width of the k bracket at which min_collision_k stops bisecting
+COLLISION_K_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -82,9 +88,7 @@ def assemble(
     if sym is not wave.sym:
         raise InvalidArgument("sym is not the symbol the wave was solved with")
     if n_modes < wave.n_modes:
-        raise TruncationTooSmall(
-            f"operator truncation {n_modes} below the wave's {wave.n_modes}"
-        )
+        raise InvalidArgument(f"operator truncation {n_modes} below the wave's {wave.n_modes}")
     k, c = wave.k, wave.c
     dim = 2 * n_modes + 1
     eye = np.eye(dim)
@@ -140,9 +144,9 @@ def spectrum(op: BlochOperator) -> SpectrumSlice:
     )
 
 
-def zero_multiplicity(sl: SpectrumSlice, radius: float = 1e-8) -> int:
-    """Number of eigenvalues of a spectrum within the given modulus of the origin."""
-    return int(np.sum(np.abs(sl.eigenvalues) <= radius))
+def zero_multiplicity(sl: SpectrumSlice) -> int:
+    """Number of eigenvalues of a spectrum within ZERO_RADIUS of the origin."""
+    return int(np.sum(np.abs(sl.eigenvalues) <= ZERO_RADIUS))
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +191,7 @@ class _CollisionLayout:
         return table[self.first] - table[self.second]
 
 
-def _collision_layout(kind: EquationKind, n_range, xi_steps: int, pairs) -> _CollisionLayout:
+def _collision_layout(kind: EquationKind, n_range, pairs) -> _CollisionLayout:
     ns = sorted(set(int(n) for n in n_range))
     if pairs is not None:
         pairs = [(int(n1), int(n2)) for n1, n2 in pairs]
@@ -205,13 +209,13 @@ def _collision_layout(kind: EquationKind, n_range, xi_steps: int, pairs) -> _Col
             raise InvalidArgument(f"mode pairs {selfs} pair a mode with itself")
         combos = [((n1, -1), (n2, -1)) for n1, n2 in pairs]
     else:
-        raise UnsupportedKind("collision scan supports the BBM-type and bidirectional kinds")
+        raise InvalidArgument("collision scan supports the BBM-type and bidirectional kinds")
     rows, pick = np.unique(np.array(combos, dtype=int).reshape(-1, 2), axis=0,
                            return_inverse=True)
     first, second = pick.reshape(-1, 2).T
     n_col, s_col = rows.T[:, :, None]
     return _CollisionLayout(combos, n_col, s_col, first, second,
-                           np.linspace(1e-6, 0.5, xi_steps))
+                           np.linspace(1e-6, 0.5, COLLISION_XI_STEPS))
 
 
 def _end_zeros(vals: np.ndarray) -> np.ndarray:
@@ -230,7 +234,6 @@ def collision_scan(
     sym: DispersionSymbol,
     k: float,
     n_range,
-    xi_steps: int = 512,
     pairs=None,
 ) -> tuple[CollisionPoint, ...]:
     """All xi in (0, 1/2] where two flat-state frequencies coincide.
@@ -250,7 +253,7 @@ def collision_scan(
     samples sit on the trivial common zero tail of all branches as
     xi -> 0.
     """
-    layout = _collision_layout(kind, n_range, xi_steps, pairs)
+    layout = _collision_layout(kind, n_range, pairs)
     if not layout.combos:
         return ()
     first, second, n_col, s_col = layout.first, layout.second, layout.n_col, layout.s_col
@@ -274,8 +277,6 @@ def min_collision_k(
     pairs,
     k_range: tuple[float, float],
     kind: EquationKind = EquationKind.BBM,
-    xi_steps: int = 512,
-    tol: float = 1e-9,
 ) -> float | None:
     """Smallest k in k_range at which any of the given mode pairs collide.
 
@@ -287,17 +288,19 @@ def min_collision_k(
     is exactly when ``collision_scan`` reports a collision there, so no
     root is refined.
     """
-    layout = _collision_layout(kind, {n for p in pairs for n in p}, xi_steps, pairs)
+    lo, hi = k_range
+    if not (0 < lo < hi):
+        raise InvalidArgument("need 0 < k_lo < k_hi")
+    layout = _collision_layout(kind, {n for p in pairs for n in p}, pairs)
 
     def has(k_val: float) -> bool:
         return bool(layout.combos) and _collides(layout.sample(sym, k_val))
 
-    lo, hi = k_range
     if has(lo):
         return lo
     if not has(hi):
         return None
-    while hi - lo > tol:
+    while hi - lo > COLLISION_K_TOL:
         mid = 0.5 * (lo + hi)
         if has(mid):
             hi = mid

@@ -16,12 +16,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .dispersion import DispersionSymbol, eval_m, jet_m
-from .errors import InvalidArgument, UnsupportedKind
+from .errors import InvalidArgument
 from .numerics import scan_roots, unbox
 from .stokes import EquationKind
 
 #: |value| below this counts as a degenerate zero of an index
 DEGENERACY_TOL = 1e-12
+#: k samples of a resonance scan, and of a threshold scan by default
+SCAN_SAMPLES = 400
 
 
 class Verdict(enum.Enum):
@@ -97,7 +99,7 @@ def _combine(kind: EquationKind, base: tuple[np.ndarray, ...], m2: np.ndarray) -
         return 2.0 * i3m + m2 * i2m
     if kind is EquationKind.BOUSSINESQ:
         return 2.0 * i3m * i3p + np.float_power(m2, 2) * i2m * i2p
-    raise UnsupportedKind(str(kind))
+    raise InvalidArgument(str(kind))
 
 
 def _columns(kind: EquationKind, sym: DispersionSymbol, k):
@@ -162,7 +164,6 @@ def find_resonances(
     sym: DispersionSymbol,
     kind: EquationKind,
     k_range: tuple[float, float],
-    samples: int = 400,
 ) -> ResonanceScan:
     """Locate sign changes of the resonance quantities.
 
@@ -174,7 +175,7 @@ def find_resonances(
     k_lo, k_hi = k_range
     if not (0 < k_lo < k_hi):
         raise InvalidArgument("need 0 < k_lo < k_hi")
-    grid = np.linspace(k_lo, k_hi, samples)
+    grid = np.linspace(k_lo, k_hi, SCAN_SAMPLES)
     # columns of _columns: i1, i2-, [i2+], i3-, [i3+], i_eq
     cols = np.array([0, 1, 2, 3, 4, 5] if kind is EquationKind.BOUSSINESQ else [0, 1, 3, 5])
     label = ("R1", "R2", "R2", "R3", "R3", "R4")  # by column
@@ -194,7 +195,7 @@ def critical_wavenumber(
     kind: EquationKind,
     sym: DispersionSymbol,
     k_range: tuple[float, float],
-    samples: int = 400,
+    samples: int = SCAN_SAMPLES,
 ) -> float | None | list[float | None]:
     """Smallest sign change of the instability index in the range, if any.
 

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EigenFailure, NoBracket, NoConvergence
+from .errors import EigenFailure, InvalidArgument, NoConvergence
 
 # Fixed seed for every randomized property test in the suite.
 PROPERTY_TEST_SEED = 0x5EED_0D15_9E45_0001
@@ -46,8 +46,8 @@ def find_root(f: Callable, bracket, tol: float = 1e-12):
     lo, hi, f_lo, f_hi = (np.array(b, dtype=float, ndmin=1) for b in bracket)
     if not np.all(f_lo * f_hi < 0.0):
         i = np.argmin(f_lo * f_hi < 0.0)
-        raise NoBracket(f"f({lo[i]})={f_lo[i]:.3e} and f({hi[i]})={f_hi[i]:.3e} "
-                        "do not bracket a root")
+        raise InvalidArgument(f"f({lo[i]})={f_lo[i]:.3e} and f({hi[i]})={f_hi[i]:.3e} "
+                              "do not bracket a root")
     x = 0.5 * (lo + hi)
     points, roots = x.copy(), x.copy()
     live, prev_width = np.arange(x.size), hi - lo  # live: the brackets still iterating

@@ -10,6 +10,11 @@ from __future__ import annotations
 import json
 from typing import Iterable, Sequence
 
+from .errors import InvalidArgument
+
+#: size of the level-curve SVG, in pixels
+SVG_WIDTH, SVG_HEIGHT = 640, 480
+
 
 def format_cell(value) -> str:
     if isinstance(value, float):
@@ -35,9 +40,13 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence],
 
 
 def write_text(path: str, text: str) -> None:
-    """The one way a file is written: UTF-8 with LF line endings."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    """The one way a file is written: UTF-8 with LF line endings.  A path
+    that cannot be written is refused as an InvalidArgument."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidArgument(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence],
@@ -53,14 +62,13 @@ def svg_level_curves(
     curves: Sequence[tuple[str, Sequence[tuple[float, float]]]],
     x_label: str,
     y_label: str,
-    width: int = 640,
-    height: int = 480,
 ) -> str:
     """Plain-text SVG with one polyline per named curve.
 
     Axis ranges cover the data with a small margin; no external renderer
     is involved, the caller just writes the returned text.
     """
+    width, height = SVG_WIDTH, SVG_HEIGHT
     pts = [p for _, curve in curves for p in curve]
     if not pts:
         xs, ys = (0.0, 1.0), (0.0, 1.0)

@@ -31,20 +31,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import DispersionSymbol, eval_m, jet_m
-from .errors import (
-    DegenerateResonance,
-    DegreeMismatch,
-    InvalidArgument,
-    LeadingZero,
-    NotRescalable,
-    UnsupportedKind,
-)
+from .errors import DegenerateResonance, InvalidArgument, NotRescalable
 from .indices import IndexReport, Verdict, ind
 from .numerics import unbox
 from .stokes import RESONANCE_TOL, EquationKind
 
 #: admissible relative imaginary residue when realifying coefficients
 IMAG_RESIDUE_TOL = 1e-10
+#: the small Floquet exponent and amplitude at which a pencil verdict is taken
+VERDICT_XI = VERDICT_A = 1e-2
 
 
 @dataclass(frozen=True)
@@ -158,7 +153,7 @@ def build_pencil(kind: EquationKind, sym: DispersionSymbol, k, xi: float, a: flo
         return build_bbm_pencil(sym, k, xi, a)
     if kind is EquationKind.BOUSSINESQ:
         return build_bnesq_pencil(sym, k, xi, a)
-    raise UnsupportedKind(
+    raise InvalidArgument(
         "no reduced pencil for the KdV-type nonlinearity; use the index or "
         "the Floquet-Bloch spectrum directly"
     )
@@ -215,7 +210,7 @@ def _coefficients(p, degree: int) -> list[np.ndarray]:
     arrays, so it takes the same ufunc loops as a row of a stack."""
     p = np.asarray(p, dtype=float)
     if p.shape[-1] != degree + 1:
-        raise DegreeMismatch(f"expected degree {degree}, got {p.shape[-1] - 1}")
+        raise InvalidArgument(f"expected degree {degree}, got {p.shape[-1] - 1}")
     return [p[..., i] for i in range(degree + 1)]
 
 
@@ -320,7 +315,7 @@ def classify_quartic(p, tol=None) -> QuarticClassification:
     Degenerate rather than guessing.
     """
     if np.any(_coefficients(p, 4)[0] == 0.0):
-        raise LeadingZero("quartic leading coefficient is zero")
+        raise InvalidArgument("quartic leading coefficient is zero")
     if tol is None:
         tol = default_disc_tolerance(p)
     d, d1, d2 = quartic_disc(p), quartic_disc1(p), quartic_disc2(p)
@@ -353,13 +348,8 @@ def bnesq_leading_discs(sym: DispersionSymbol, k: float) -> tuple[float, float]:
     return quartic_disc1(p), quartic_disc2(p)
 
 
-def pencil_verdicts(
-    kind: EquationKind,
-    sym: DispersionSymbol,
-    report: IndexReport,
-    xi: float = 1e-2,
-    a: float = 1e-2,
-) -> list[Verdict]:
+def pencil_verdicts(kind: EquationKind, sym: DispersionSymbol,
+                    report: IndexReport) -> list[Verdict]:
     """pencil_verdict at every k of an index report over a k-array.
 
     The k whose index is not degenerate go through one stacked pencil
@@ -368,7 +358,7 @@ def pencil_verdicts(
     live = report.verdict != Verdict.DEGENERATE
     verdicts = np.full(live.shape, Verdict.DEGENERATE, dtype=object)
     if np.any(live):
-        p = rescaled_charpoly(build_pencil(kind, sym, report.k[live], xi, a))
+        p = rescaled_charpoly(build_pencil(kind, sym, report.k[live], VERDICT_XI, VERDICT_A))
         if kind is EquationKind.BBM:
             disc = disc_cubic(p)
             degenerate = np.abs(disc) <= default_disc_tolerance(p)
@@ -383,13 +373,7 @@ def pencil_verdicts(
     return verdicts.tolist()
 
 
-def pencil_verdict(
-    kind: EquationKind,
-    sym: DispersionSymbol,
-    k: float,
-    xi: float = 1e-2,
-    a: float = 1e-2,
-) -> Verdict:
+def pencil_verdict(kind: EquationKind, sym: DispersionSymbol, k: float) -> Verdict:
     """Stability verdict from the reduced pencil discriminants.
 
     Unidirectional: sign of the cubic discriminant.  Bidirectional:
@@ -398,4 +382,4 @@ def pencil_verdict(
     pairs: unstable).  A degenerate index (threshold wave number) is
     reported as Degenerate without consulting the discriminant.
     """
-    return pencil_verdicts(kind, sym, ind(kind, sym, np.array([k])), xi, a)[0]
+    return pencil_verdicts(kind, sym, ind(kind, sym, np.array([k])))[0]

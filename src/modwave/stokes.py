@@ -20,6 +20,8 @@ from .numerics import cos_product_matrix, cos_square
 
 #: resonant denominators smaller than this are refused
 RESONANCE_TOL = 1e-10
+#: Newton steps newton_wave takes before it gives up
+NEWTON_MAX_ITER = 50
 
 
 class EquationKind(enum.Enum):
@@ -297,7 +299,6 @@ def newton_wave(
     a: float,
     n_modes: int = 32,
     tol: float = 1e-12,
-    max_iter: int = 50,
 ) -> WaveSolution:
     """Solve the exact traveling-wave equations by Newton iteration.
 
@@ -312,8 +313,6 @@ def newton_wave(
         raise InvalidArgument("n_modes must be >= 8")
     if k <= 0:
         raise InvalidArgument("k must be positive")
-    if max_iter < 0:
-        raise InvalidArgument("max_iter must be >= 0")
     exp = expansion_for(kind, sym, k, a)
     n = n_modes + 1
     bidirectional = kind is EquationKind.BOUSSINESQ
@@ -321,14 +320,14 @@ def newton_wave(
                                     _pin_value(kind, sym, k, a))
     channels = [exp.u_cosines(n_modes)] + ([exp.q_cosines(n_modes)] if bidirectional else [])
     state = np.concatenate([*channels, [exp.speed()]])
-    for it in range(max_iter + 1):
+    for it in range(NEWTON_MAX_ITER + 1):
         u, q, c = state[:n], state[n:-1], state[-1]
         res = residual(u, q, c)
         rnorm = float(np.linalg.norm(res))
         if rnorm <= tol:
             return WaveSolution(kind, sym, k, a, n_modes, u, float(c), rnorm,
                                 q_hat=q if bidirectional else None, iterations=it)
-        if it == max_iter:
+        if it == NEWTON_MAX_ITER:
             raise NoConvergence(it, rnorm)
         # an overflow or a division by a vanishing speed is refused below, not warned of
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

@@ -385,7 +385,10 @@ def test_zero_symbol_value_in_bidirectional_start_is_one_error_line(command, k, 
 @pytest.mark.parametrize("data", [
     {"symbol": {"builtin": "fractional", "params": {"alpha": "x"}}, "equation": "bbm"},
     {"equation": "bbm", "symbol": {"builtin": "bbm"}, "k": "x"},
-], ids=["alpha-not-a-number", "k-not-a-number"])
+    {"equation": "bbm", "symbol": {"builtin": "bbm"}, "k": 1.0, "a": math.nan},
+    {"equation": "bbm", "symbol": {"builtin": "bbm"}, "k_range": [0.1, math.inf]},
+    {"symbol": {"builtin": "fractional", "params": {"alpha": math.nan}}, "equation": "bbm"},
+], ids=["alpha-not-a-number", "k-not-a-number", "a-nan", "k-range-to-inf", "alpha-nan"])
 def test_config_values_are_type_checked(data, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(data))
@@ -437,8 +440,35 @@ def test_file_and_flags_reach_the_command_through_one_parse(tmp_path, capsys):
       "--xi", "0.01", "--n-modes", "7"], "n_modes must be >= 8"),
     (["wave", "--equation", "bbm", "--symbol", "bbm", "--k", "2", "--a", "0.01",
       "--n-modes", "7"], "n_modes must be >= 8"),
+    # every number a run takes must be finite
+    (["index", "--equation", "bbm", "--symbol", "bbm", "--k", "inf"],
+     "config field 'k': expected float | None, got inf"),
+    (["index", "--equation", "bbm", "--symbol", "bbm", "--k-range", "0.1", "inf"],
+     "config field 'k_range': expected tuple[float, float] | None, got [0.1, inf]"),
+    (["wave", "--equation", "bbm", "--symbol", "bbm", "--k", "1", "--a", "nan"],
+     "config field 'a': expected float, got nan"),
+    (["wave", "--equation", "bbm", "--symbol", "bbm", "--k", "1", "--a", "inf"],
+     "config field 'a': expected float, got inf"),
+    (["wave", "--equation", "bbm", "--symbol", "bbm", "--k", "1", "--tol", "nan"],
+     "config field 'tol': expected float, got nan"),
+    (["diagram", "--alpha-range", "2", "inf"],
+     "config field 'alpha_range': expected tuple[float, float], got [2.0, inf]"),
+    (["index", "--equation", "bbm", "--expr", "1+abs(k)^alpha", "--param", "alpha=nan", "--k", "1"],
+     "config field 'symbol': expected finite numbers named by non-keywords, got {'alpha': nan}"),
+    (["index", "--equation", "bbm", "--symbol", "fractional", "--alpha", "inf", "--k", "1"],
+     "config field 'symbol': expected finite numbers named by non-keywords, got {'alpha': inf}"),
+    # an output path that cannot be written
+    (["index", "--equation", "bbm", "--symbol", "bbm", "--k", "1", "-o", "/nonexistent/x.csv"],
+     "cannot write /nonexistent/x.csv: No such file or directory"),
+    (["diagram", "--k-steps", "5", "-o", os.devnull, "--svg", "/nonexistent/d.svg"],
+     "cannot write /nonexistent/d.svg: No such file or directory"),
+    (["spectrum", "--equation", "bbm", "--symbol", "bbm", "--k", "2", "--xi", "0.01",
+      "--n-modes", "8", "-o", os.devnull, "--summary", "/nonexistent/s.json"],
+     "cannot write /nonexistent/s.json: No such file or directory"),
 ], ids=["resonances-reversed-range", "resonances-range-from-zero", "diagram-one-point-range",
-        "diagram-one-k-step", "resonances-n-max-1", "spectrum-n-modes-7", "wave-n-modes-7"])
+        "diagram-one-k-step", "resonances-n-max-1", "spectrum-n-modes-7", "wave-n-modes-7",
+        "k-inf", "k-range-to-inf", "a-nan", "a-inf", "tol-nan", "alpha-range-to-inf",
+        "param-nan", "alpha-inf", "unwritable-output", "unwritable-svg", "unwritable-summary"])
 def test_refused_argument_is_one_error_line(argv, message, capsys):
     assert run(argv) == 2
     out, err = capsys.readouterr()

@@ -19,7 +19,7 @@ from modwave.dispersion import (
     parse_symbol,
     symbol_from_config,
 )
-from modwave.errors import EmptyGrid, NonFinite, ParseError
+from modwave.errors import InvalidArgument, NonFinite, ParseError
 from modwave.numerics import property_rng
 
 BUILTIN_TEXT = {
@@ -494,7 +494,7 @@ def test_check_assumptions_catches_a_wrong_jet(bbm):
 
 
 def test_check_assumptions_empty_grid(bbm):
-    with pytest.raises(EmptyGrid):
+    with pytest.raises(InvalidArgument, match="^k_grid is empty$"):
         check_assumptions(bbm, [], 8)
 
 

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from modwave import hill
 from modwave.dispersion import eval_m
-from modwave.errors import TruncationTooSmall, UnsupportedKind
+from modwave.errors import InvalidArgument
 from modwave.hill import (
     assemble,
     collision_scan,
@@ -125,7 +125,7 @@ def test_conjugation_symmetry(bbm, boussinesq):
 @pytest.mark.parametrize("kind", list(EquationKind), ids=lambda kind: kind.value)
 def test_truncation_too_small(kind, bbm):
     wave = newton_wave(kind, bbm, 1.0, 0.01, 16)
-    with pytest.raises(TruncationTooSmall):
+    with pytest.raises(InvalidArgument, match="^operator truncation 8 below the wave's 16$"):
         assemble(kind, bbm, wave, 0.1, 8)
 
 
@@ -193,7 +193,7 @@ def test_min_collision_k(bbm, boussinesq):
 def test_collision_indicator_is_a_nonempty_scan(kind, pairs, k_range, bbm, boussinesq):
     sym = bbm if kind is EquationKind.BBM else boussinesq
     modes = sorted({n for p in pairs for n in p})
-    layout = hill._collision_layout(kind, modes, 512, pairs)
+    layout = hill._collision_layout(kind, modes, pairs)
     indicator = [hill._collides(layout.sample(sym, k)) for k in np.linspace(*k_range, 401)]
     scanned = [bool(collision_scan(kind, sym, k, modes, pairs=pairs))
                for k in np.linspace(*k_range, 401)]
@@ -249,7 +249,7 @@ def test_collision_scan_one_mode(kind, boussinesq):
 
 
 def test_collision_scan_kdv_unsupported(bbm):
-    with pytest.raises(UnsupportedKind):
+    with pytest.raises(InvalidArgument, match="^collision scan supports the BBM-type"):
         collision_scan(EquationKind.KDV, bbm, 1.0, range(-2, 2))
 
 
@@ -288,6 +288,15 @@ def test_collision_scan_boussinesq_pairs_as_lists(boussinesq):
     assert listed == collision_scan(EquationKind.BOUSSINESQ, boussinesq, 0.5, range(-4, 4),
                                     pairs=[(0, 2)])
     assert [p.xi for p in listed] == pytest.approx([0.2864], abs=1e-4)
+
+
+@pytest.mark.parametrize("k_range", [(3.0, 1.0), (0.0, 3.0), (1.0, 1.0)],
+                         ids=["reversed", "from-zero", "one-point"])
+def test_min_collision_k_refuses_a_bad_range(k_range, bbm, boussinesq):
+    # at k = 0 every flat-state frequency vanishes, so a scan there would report 0.0
+    for kind, sym in ((EquationKind.BBM, bbm), (EquationKind.BOUSSINESQ, boussinesq)):
+        with pytest.raises(InvalidArgument, match="^need 0 < k_lo < k_hi$"):
+            min_collision_k(sym, [(0, -2)], k_range, kind=kind)
 
 
 def test_bbm_self_pair_rejected(bbm):

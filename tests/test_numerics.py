@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from modwave.errors import NoBracket, NoConvergence
+from modwave.errors import InvalidArgument, NoConvergence
 from modwave.indices import ind
 from modwave.numerics import (
     cos_product,
@@ -64,10 +64,10 @@ def test_find_root_reports_no_convergence():
 
 def test_no_bracket():
     f = lambda x: x * x + 1.0
-    with pytest.raises(NoBracket):
+    with pytest.raises(InvalidArgument, match="do not bracket a root$"):
         find_root(f, bracket(f, -1.0, 1.0))
     g = lambda x: x * x - 2.0
-    with pytest.raises(NoBracket, match=r"f\(-1\.0\)"):
+    with pytest.raises(InvalidArgument, match=r"f\(-1\.0\)"):
         find_root(g, bracket(g, np.array([1.0, -1.0]), np.array([2.0, 1.0])))
 
 

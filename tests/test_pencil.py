@@ -5,13 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from modwave.dispersion import eval_m, jet_m
-from modwave.errors import (
-    DegenerateResonance,
-    DegreeMismatch,
-    LeadingZero,
-    NotRescalable,
-    UnsupportedKind,
-)
+from modwave.errors import DegenerateResonance, InvalidArgument, NotRescalable
 from modwave.indices import Verdict, base_indices, ind
 from modwave.numerics import property_rng
 from modwave.pencil import (
@@ -133,7 +127,7 @@ def test_classify_examples():
     assert classify_quartic([1, 0, -1, 0, -1]).category is QuarticClass.TWO_REAL_ONE_PAIR
     # double pair (x^2+1)^2 has disc = 0
     assert classify_quartic([1, 0, 2, 0, 1]).category is QuarticClass.DEGENERATE
-    with pytest.raises(LeadingZero):
+    with pytest.raises(InvalidArgument, match="^quartic leading coefficient is zero$"):
         classify_quartic([0, 1, 2, 3, 4])
 
 
@@ -191,12 +185,12 @@ def test_not_rescalable_names_first_k():
 
 def test_degree_mismatch(bbm, boussinesq):
     cubic = rescaled_charpoly(build_bbm_pencil(bbm, 1.0, 0.01, 0.0))
-    with pytest.raises(DegreeMismatch):
+    with pytest.raises(InvalidArgument, match="^expected degree 4, got 3$"):
         quartic_disc(cubic)
-    with pytest.raises(DegreeMismatch):
+    with pytest.raises(InvalidArgument, match="^expected degree 4, got 3$"):
         classify_quartic(cubic)
     quartic = rescaled_charpoly(build_bnesq_pencil(boussinesq, 1.0, 0.01, 0.0))
-    with pytest.raises(DegreeMismatch):
+    with pytest.raises(InvalidArgument, match="^expected degree 3, got 4$"):
         disc_cubic(quartic)
     assert quartic_disc1(quartic) < 0 and quartic_disc2(quartic) < 0
 
@@ -210,7 +204,7 @@ def test_resonant_denominators_raise():
 
 
 def test_kdv_pencil_unsupported(bbm):
-    with pytest.raises(UnsupportedKind):
+    with pytest.raises(InvalidArgument, match="^no reduced pencil for the KdV-type nonlinearity"):
         build_pencil(EquationKind.KDV, bbm, 1.0, 0.01, 0.01)
 
 
