@@ -50,9 +50,8 @@ from .stokes import (
     EquationKind,
     StokesExpansion,
     WaveSolution,
-    bbm_expansion,
-    bnesq_expansion,
     expansion_error,
+    expansion_for,
     newton_wave,
 )
 

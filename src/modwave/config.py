@@ -113,7 +113,11 @@ class RunConfig:
             if not _fits(val, annotations[key]):
                 raise ConfigError(key, f"expected {annotations[key]}, got {val!r}")
             kwargs[key] = (float(val[0]), float(val[1])) if isinstance(val, (list, tuple)) else val
-        return cls(**kwargs)
+        cfg = cls(**kwargs)
+        # a negative tolerance is never met; 0 is, by a residual of exactly 0
+        if cfg.tol < 0:
+            raise ConfigError("tol", f"need tol >= 0, got {cfg.tol}")
+        return cfg
 
 
 def _fits(val, annotation: str) -> bool:

@@ -61,7 +61,8 @@ def eval_m(sym: DispersionSymbol, k: ArrayLike):
     """m(k) over a scalar or an array of k, at |k| since every admissible
     symbol is even; a float for a scalar k."""
     k = np.asarray(k, dtype=float)
-    m = sym.raw(np.abs(k))
+    with np.errstate(all="ignore"):  # a value that is not finite is refused below, not warned of
+        m = sym.raw(np.abs(k))
     _require_finite(k, np.isfinite(m), lambda bad: f"{sym.name}({bad}) is not finite")
     return unbox(m)
 
@@ -70,12 +71,15 @@ def jet_m(sym: DispersionSymbol, k: ArrayLike) -> Jet:
     """(m(k), m'(k), m''(k)), exact; m' is odd in k and m'' even.  Floats
     for a scalar k, arrays for an array."""
     k = np.asarray(k, dtype=float)
-    m, m1, m2 = sym.jet(np.abs(k))
-    _require_finite(
-        k, np.isfinite(m) & np.isfinite(m1) & np.isfinite(m2),
-        lambda bad: f"jet of {sym.name} at k={bad} is not finite: "
-                    f"{tuple(np.asarray(c).tolist() for c in sym.jet(abs(bad)))}",
-    )
+    # a jet that is not finite is refused below, not warned of; the message
+    # evaluates it again
+    with np.errstate(all="ignore"):
+        m, m1, m2 = sym.jet(np.abs(k))
+        _require_finite(
+            k, np.isfinite(m) & np.isfinite(m1) & np.isfinite(m2),
+            lambda bad: f"jet of {sym.name} at k={bad} is not finite: "
+                        f"{tuple(np.asarray(c).tolist() for c in sym.jet(abs(bad)))}",
+        )
     return unbox(m), unbox(np.where(k < 0, -m1, m1)), unbox(m2)
 
 

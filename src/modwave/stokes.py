@@ -32,123 +32,72 @@ class EquationKind(enum.Enum):
 
 @dataclass(frozen=True)
 class StokesExpansion:
-    """Expansion coefficients of the wave profile and speed in amplitude.
+    """The Stokes start of a small-amplitude wave: its profile and speed to
+    second order in the amplitude a.
 
-    The u-profile is  mean + cos1*a*cos(z) + a^2*(u2_mean + u2_cos2*cos(2z))
-    with mean = mean0 + mean_b*(b1-b2); the q-channel fields are populated
-    only for the bidirectional system (the scalar equations use b1 as
-    their single mean parameter and b2 = 0).  The speed is
-    c0 + c_b*(b1-b2) + c2*a^2.  Remainder O(a(a^2+b)) dropped.
+    The u-profile is  a*cos1*cos(z) + a^2*(u2_mean + u2_cos2*cos(2z)); the
+    q-channel, a*q1*cos(z) + a^2*(q2_mean + q2_cos2*cos(2z)), exists only
+    for the bidirectional system.  The speed is c0 + c2*a^2.  The remainder
+    is O(a^3).
     """
 
-    kind: EquationKind
-    k: float
     a: float
-    b1: float
-    b2: float
-    mean0: float
-    mean_b: float
     cos1: float
-    cos1_b: float
     u2_mean: float
     u2_cos2: float
     c0: float
-    c_b: float
     c2: float
-    q0_b1: float | None = None
-    q0_b2: float | None = None
     q1: float | None = None
-    q1_b: float | None = None
     q2_mean: float | None = None
     q2_cos2: float | None = None
 
-    @property
-    def b(self) -> float:
-        return self.b1 - self.b2
-
     def speed(self) -> float:
-        return self.c0 + self.c_b * self.b + self.c2 * self.a**2
+        # libm's pow, as a**2 takes, but an overflow gives inf (refused by
+        # newton_wave) where a**2 raises OverflowError
+        with np.errstate(over="ignore"):
+            a2 = float(np.float_power(self.a, 2))
+        return self.c0 + self.c2 * a2
 
     def u_cosines(self, n_modes: int) -> np.ndarray:
-        """Cosine coefficients 0..n_modes of the truncated expansion."""
-        a, b = self.a, self.b
-        out = np.zeros(n_modes + 1)
-        out[0] = self.mean0 + self.mean_b * b + a * a * self.u2_mean
-        if n_modes >= 1:
-            out[1] = a * (self.cos1 + self.cos1_b * b)
-        if n_modes >= 2:
-            out[2] = a * a * self.u2_cos2
-        return out
+        """Cosine coefficients 0..n_modes (n_modes >= 2) of the u-profile."""
+        return _cosines(self.a, self.cos1, self.u2_mean, self.u2_cos2, n_modes)
 
     def q_cosines(self, n_modes: int) -> np.ndarray:
         if self.q1 is None:
             raise InvalidArgument("q-channel only exists for the bidirectional system")
-        a = self.a
-        out = np.zeros(n_modes + 1)
-        out[0] = self.q0_b1 * self.b1 + self.q0_b2 * self.b2 + a * a * self.q2_mean
-        if n_modes >= 1:
-            out[1] = a * (self.q1 + self.q1_b * self.b)
-        if n_modes >= 2:
-            out[2] = a * a * self.q2_cos2
-        return out
+        return _cosines(self.a, self.q1, self.q2_mean, self.q2_cos2, n_modes)
 
 
-def _check_unidirectional_denominators(mk: float, m2k: float) -> None:
-    if abs(mk - 1.0) <= RESONANCE_TOL:
-        raise DegenerateResonance(f"m(k)={mk} too close to 1 (mean-flow resonance)")
-    if abs(mk - m2k) <= RESONANCE_TOL:
-        raise DegenerateResonance(
-            f"m(k)={mk} too close to m(2k)={m2k} (second harmonic resonance)"
-        )
+def _cosines(a: float, cos1: float, mean: float, cos2: float, n_modes: int) -> np.ndarray:
+    out = np.zeros(n_modes + 1)
+    # 0.0 + makes the mean +0.0 at a = 0, whatever the sign of `mean`
+    out[:3] = 0.0 + a * a * mean, a * cos1, a * a * cos2
+    return out
 
 
-def bbm_expansion(sym: DispersionSymbol, k: float, a: float, b: float = 0.0) -> StokesExpansion:
-    """Stokes coefficients for the unidirectional equation with nonlinearity
-    inside the multiplier."""
+def expansion_for(kind: EquationKind, sym: DispersionSymbol, k: float, a: float) -> StokesExpansion:
+    """The Stokes start of one kind at wave number k and amplitude a.
+
+    A resonant denominator at most RESONANCE_TOL is refused with
+    DegenerateResonance: m(k) - 1 and m(k) - m(2k) for the unidirectional
+    equations; m(k), m(2k), m^2(k) - 1 and m^2(k) - m^2(2k) for the
+    bidirectional system.
+    """
     mk, m2k = eval_m(sym, k), eval_m(sym, 2 * k)
-    _check_unidirectional_denominators(mk, m2k)
-    r2 = m2k / (mk - m2k)
-    return StokesExpansion(
-        kind=EquationKind.BBM,
-        k=k, a=a, b1=b, b2=0.0,
-        mean0=0.0,
-        mean_b=mk - 1.0,
-        cos1=1.0,
-        cos1_b=0.0,
-        u2_mean=0.5 / (mk - 1.0),
-        u2_cos2=0.5 * r2,
-        c0=mk,
-        c_b=2.0 * mk * (mk - 1.0),
-        c2=mk * (1.0 / (mk - 1.0) + 0.5 * r2),
-    )
-
-
-def kdv_expansion(sym: DispersionSymbol, k: float, a: float) -> StokesExpansion:
-    """Stokes coefficients for the KdV-type equation (nonlinearity outside
-    the multiplier), at zero mean parameter; used as the Newton initial
-    guess."""
-    mk, m2k = eval_m(sym, k), eval_m(sym, 2 * k)
-    _check_unidirectional_denominators(mk, m2k)
-    return StokesExpansion(
-        kind=EquationKind.KDV,
-        k=k, a=a, b1=0.0, b2=0.0,
-        mean0=0.0,
-        mean_b=0.0,
-        cos1=1.0,
-        cos1_b=0.0,
-        u2_mean=0.5 / (mk - 1.0),
-        u2_cos2=0.5 / (mk - m2k),
-        c0=mk,
-        c_b=0.0,
-        c2=1.0 / (mk - 1.0) + 0.5 / (mk - m2k),
-    )
-
-
-def bnesq_expansion(
-    sym: DispersionSymbol, k: float, a: float, b1: float = 0.0, b2: float = 0.0
-) -> StokesExpansion:
-    """Stokes coefficients for the bidirectional system (u, q channels)."""
-    mk, m2k = eval_m(sym, k), eval_m(sym, 2 * k)
+    if kind is not EquationKind.BOUSSINESQ:
+        if abs(mk - 1.0) <= RESONANCE_TOL:
+            raise DegenerateResonance(f"m(k)={mk} too close to 1 (mean-flow resonance)")
+        if abs(mk - m2k) <= RESONANCE_TOL:
+            raise DegenerateResonance(
+                f"m(k)={mk} too close to m(2k)={m2k} (second harmonic resonance)"
+            )
+        if kind is EquationKind.BBM:  # nonlinearity inside the multiplier
+            r2 = m2k / (mk - m2k)
+            u2_cos2, c2 = 0.5 * r2, mk * (1.0 / (mk - 1.0) + 0.5 * r2)
+        else:  # KdV: nonlinearity outside the multiplier
+            u2_cos2, c2 = 0.5 / (mk - m2k), 1.0 / (mk - 1.0) + 0.5 / (mk - m2k)
+        return StokesExpansion(a=a, cos1=1.0, u2_mean=0.5 / (mk - 1.0), u2_cos2=u2_cos2,
+                               c0=mk, c2=c2)
     mk2, m2k2 = mk * mk, m2k * m2k
     # the coefficients divide by m(k) and m(2k)^2, and Newton's step by c ~ m(k)
     for name, value in (("m(k)", mk), ("m(2k)", m2k)):
@@ -160,36 +109,13 @@ def bnesq_expansion(
         raise DegenerateResonance(
             f"m^2(k)={mk2} too close to m^2(2k)={m2k2} (second harmonic resonance)"
         )
-    u0_coeff = mk2 - 1.0
     cap_u0 = 0.5 * mk2 / (mk2 - 1.0)
     cap_u2 = 0.5 * mk2 * m2k2 / (mk2 - m2k2)
     return StokesExpansion(
-        kind=EquationKind.BOUSSINESQ,
-        k=k, a=a, b1=b1, b2=b2,
-        mean0=0.0,
-        mean_b=u0_coeff,
-        cos1=mk,
-        cos1_b=mk * (mk2 - 1.0),
-        u2_mean=cap_u0,
-        u2_cos2=cap_u2,
-        c0=mk,
-        c_b=mk * (mk2 - 1.0),
-        c2=mk * (cap_u0 + 0.5 * cap_u2),
-        q0_b1=-(mk2 - 1.0) / mk,
-        q0_b2=mk * (mk2 - 1.0),
-        q1=-1.0,
-        q1_b=-2.0 * (mk2 - 1.0),
-        q2_mean=-mk * cap_u0,
-        q2_cos2=-mk * cap_u2 / m2k2,
+        a=a, cos1=mk, u2_mean=cap_u0, u2_cos2=cap_u2,
+        c0=mk, c2=mk * (cap_u0 + 0.5 * cap_u2),
+        q1=-1.0, q2_mean=-mk * cap_u0, q2_cos2=-mk * cap_u2 / m2k2,
     )
-
-
-def expansion_for(kind: EquationKind, sym: DispersionSymbol, k: float, a: float) -> StokesExpansion:
-    if kind is EquationKind.BBM:
-        return bbm_expansion(sym, k, a)
-    if kind is EquationKind.KDV:
-        return kdv_expansion(sym, k, a)
-    return bnesq_expansion(sym, k, a)
 
 
 @dataclass(frozen=True)
@@ -206,11 +132,6 @@ class WaveSolution:
     residual: float
     q_hat: np.ndarray | None = None
     iterations: int = 0
-
-
-def _pin_value(kind: EquationKind, sym: DispersionSymbol, k: float, a: float) -> float:
-    # first cosine coefficient of u fixed to its Stokes value
-    return a * eval_m(sym, k) if kind is EquationKind.BOUSSINESQ else a
 
 
 def _newton_system(kind: EquationKind, mvals: np.ndarray, k: float, pin: float):
@@ -305,36 +226,39 @@ def newton_wave(
     The state is (u, [q,] c): the cosine coefficients of each channel
     (modes 0..n_modes; the q channel only for the bidirectional system)
     followed by the speed c.  The amplitude and phase are pinned by fixing
-    the first cosine coefficient of u to its Stokes value.  Each kind
-    supplies its residual and its step (`_newton_system`); the iteration
-    itself is shared.  A step that is not finite is refused.
+    the first cosine coefficient of u to that of the Stokes start.  Each
+    kind supplies its residual and its step (`_newton_system`); the
+    iteration itself is shared.  A start or a step that is not finite is
+    refused.
     """
     if n_modes < 8:
         raise InvalidArgument("n_modes must be >= 8")
     if k <= 0:
         raise InvalidArgument("k must be positive")
-    exp = expansion_for(kind, sym, k, a)
+    start = expansion_for(kind, sym, k, a)
     n = n_modes + 1
     bidirectional = kind is EquationKind.BOUSSINESQ
-    residual, step = _newton_system(kind, eval_m(sym, k * np.arange(n)), k,
-                                    _pin_value(kind, sym, k, a))
-    channels = [exp.u_cosines(n_modes)] + ([exp.q_cosines(n_modes)] if bidirectional else [])
-    state = np.concatenate([*channels, [exp.speed()]])
-    for it in range(NEWTON_MAX_ITER + 1):
-        u, q, c = state[:n], state[n:-1], state[-1]
-        res = residual(u, q, c)
-        rnorm = float(np.linalg.norm(res))
-        if rnorm <= tol:
-            return WaveSolution(kind, sym, k, a, n_modes, u, float(c), rnorm,
-                                q_hat=q if bidirectional else None, iterations=it)
-        if it == NEWTON_MAX_ITER:
-            raise NoConvergence(it, rnorm)
-        # an overflow or a division by a vanishing speed is refused below, not warned of
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    u0 = start.u_cosines(n_modes)
+    state = np.concatenate([u0, *([start.q_cosines(n_modes)] if bidirectional else []),
+                            [start.speed()]])
+    if not np.isfinite(state).all():
+        raise InvalidArgument(f"the Stokes start at k={k}, a={a} is not finite")
+    residual, step = _newton_system(kind, eval_m(sym, k * np.arange(n)), k, u0[1])
+    # an overflow or a division by a vanishing speed is refused below, not warned of
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for it in range(NEWTON_MAX_ITER + 1):
+            u, q, c = state[:n], state[n:-1], state[-1]
+            res = residual(u, q, c)
+            rnorm = float(np.linalg.norm(res))
+            if rnorm <= tol:
+                return WaveSolution(kind, sym, k, a, n_modes, u, float(c), rnorm,
+                                    q_hat=q if bidirectional else None, iterations=it)
+            if it == NEWTON_MAX_ITER:
+                raise NoConvergence(it, rnorm)
             delta = step(u, q, c, res)
-        if not np.isfinite(delta).all():
-            raise DegenerateResonance(f"non-finite Newton step at k={k}")
-        state = state + delta
+            if not np.isfinite(delta).all():
+                raise DegenerateResonance(f"non-finite Newton step at k={k}")
+            state = state + delta
 
 
 def wave_l2_norm(u_hat: np.ndarray) -> float:

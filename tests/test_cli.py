@@ -388,7 +388,9 @@ def test_zero_symbol_value_in_bidirectional_start_is_one_error_line(command, k, 
     {"equation": "bbm", "symbol": {"builtin": "bbm"}, "k": 1.0, "a": math.nan},
     {"equation": "bbm", "symbol": {"builtin": "bbm"}, "k_range": [0.1, math.inf]},
     {"symbol": {"builtin": "fractional", "params": {"alpha": math.nan}}, "equation": "bbm"},
-], ids=["alpha-not-a-number", "k-not-a-number", "a-nan", "k-range-to-inf", "alpha-nan"])
+    {"equation": "bbm", "symbol": {"builtin": "bbm"}, "tol": -1e-12},
+], ids=["alpha-not-a-number", "k-not-a-number", "a-nan", "k-range-to-inf", "alpha-nan",
+        "tol-negative"])
 def test_config_values_are_type_checked(data, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(data))
@@ -451,6 +453,8 @@ def test_file_and_flags_reach_the_command_through_one_parse(tmp_path, capsys):
      "config field 'a': expected float, got inf"),
     (["wave", "--equation", "bbm", "--symbol", "bbm", "--k", "1", "--tol", "nan"],
      "config field 'tol': expected float, got nan"),
+    (["wave", "--equation", "bbm", "--symbol", "bbm", "--k", "1", "--tol", "-1"],
+     "config field 'tol': need tol >= 0, got -1.0"),
     (["diagram", "--alpha-range", "2", "inf"],
      "config field 'alpha_range': expected tuple[float, float], got [2.0, inf]"),
     (["index", "--equation", "bbm", "--expr", "1+abs(k)^alpha", "--param", "alpha=nan", "--k", "1"],
@@ -467,13 +471,41 @@ def test_file_and_flags_reach_the_command_through_one_parse(tmp_path, capsys):
      "cannot write /nonexistent/s.json: No such file or directory"),
 ], ids=["resonances-reversed-range", "resonances-range-from-zero", "diagram-one-point-range",
         "diagram-one-k-step", "resonances-n-max-1", "spectrum-n-modes-7", "wave-n-modes-7",
-        "k-inf", "k-range-to-inf", "a-nan", "a-inf", "tol-nan", "alpha-range-to-inf",
+        "k-inf", "k-range-to-inf", "a-nan", "a-inf", "tol-nan", "tol-negative", "alpha-range-to-inf",
         "param-nan", "alpha-inf", "unwritable-output", "unwritable-svg", "unwritable-summary"])
 def test_refused_argument_is_one_error_line(argv, message, capsys):
     assert run(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_zero_tolerance_is_met_by_a_zero_amplitude_wave(capsys):
+    argv = ["wave", "--equation", "bbm", "--symbol", "bbm", "--k", "0.7", "--a", "0", "--tol", "0"]
+    assert run(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1].endswith(" residual=0.0")
+
+
+@pytest.mark.parametrize("argv,last", [
+    (["wave", "--equation", "bbm", "--symbol", "bbm", "--k", "1", "--a", "1e200"],
+     "error: the Stokes start at k=1.0, a=1e+200 is not finite"),
+    (["spectrum", "--equation", "bbm", "--symbol", "bbm", "--k", "1", "--a", "1e200",
+      "--xi", "0.01"], "error: the Stokes start at k=1.0, a=1e+200 is not finite"),
+    (["index", "--equation", "bbm", "--symbol", "bbm", "--k", "1e308"],
+     "error: jet of bbm at k=1e+308 is not finite: (0.0, nan, nan)"),
+    (["wave", "--equation", "bbm", "--symbol", "bbm", "--k", "1", "--tol", "-1"],
+     "error: config field 'tol': need tol >= 0, got -1.0"),
+], ids=["wave-a-overflows", "spectrum-a-overflows", "k-overflows-the-jet", "tol-negative"])
+def test_refused_run_is_an_error_line_without_traceback_or_warning(argv, last, tmp_path):
+    # run as a process, so that a traceback or a numpy warning reaches stderr
+    src = str(Path(modwave.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "modwave", *argv], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1] == last
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
 
 
 def test_invalid_argument_is_a_value_error_and_a_modwave_error():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,15 +9,13 @@ from numpy.testing import assert_allclose
 
 from modwave import stokes
 from modwave.dispersion import builtin_symbol, eval_m, parse_symbol
-from modwave.errors import DegenerateResonance, NoConvergence
+from modwave.errors import DegenerateResonance, InvalidArgument, NoConvergence
 from modwave.numerics import cos_product_matrix, cos_square
 from modwave.stokes import (
     EquationKind,
     _newton_system,
-    bbm_expansion,
-    bnesq_expansion,
     expansion_error,
-    kdv_expansion,
+    expansion_for,
     newton_wave,
     wave_l2_norm,
 )
@@ -29,7 +28,7 @@ def test_bbm_expansion_closed_form(bbm):
     # second-order profile a^2 (1+k^2)/(6k^2) (cos 2z - 3) and speed
     # m(k) - a^2 5/(6k^2) for m = 1/(1+k^2)
     for k in (0.5, 1.0, 2.0):
-        exp = bbm_expansion(bbm, k, 0.01)
+        exp = expansion_for(EquationKind.BBM, bbm, k, 0.01)
         factor = (1.0 + k * k) / (6.0 * k * k)
         assert exp.u2_cos2 == pytest.approx(factor, rel=1e-12)
         assert exp.u2_mean == pytest.approx(-3.0 * factor, rel=1e-12)
@@ -38,32 +37,25 @@ def test_bbm_expansion_closed_form(bbm):
 
 
 def test_bbm_expansion_zero_amplitude(bbm):
-    exp = bbm_expansion(bbm, 1.3, 0.0)
+    exp = expansion_for(EquationKind.BBM, bbm, 1.3, 0.0)
     assert_allclose(exp.u_cosines(8), 0.0, atol=0.0)
     assert exp.speed() == pytest.approx(eval_m(bbm, 1.3), rel=1e-15)
 
 
 def test_bbm_expansion_fractional(frac3):
-    exp = bbm_expansion(frac3, 1.0, 0.05)
+    exp = expansion_for(EquationKind.BBM, frac3, 1.0, 0.05)
     assert exp.u2_cos2 == pytest.approx(0.5 * 9.0 / (2.0 - 9.0), rel=1e-12)
-
-
-def test_bbm_expansion_mean_term_in_b(bbm):
-    exp = bbm_expansion(bbm, 1.0, 0.0, b=1e-3)
-    m = eval_m(bbm, 1.0)
-    assert exp.u_cosines(2)[0] == pytest.approx(1e-3 * (m - 1.0), rel=1e-12)
-    assert exp.speed() == pytest.approx(m + 2e-3 * m * (m - 1.0), rel=1e-12)
 
 
 def test_degenerate_resonance_raises():
     sym = parse_symbol("cos(k)")  # m(k) = m(2k) at k = 2*pi/3
     with pytest.raises(DegenerateResonance):
-        bbm_expansion(sym, 2.0 * math.pi / 3.0, 0.01)
+        expansion_for(EquationKind.BBM, sym, 2.0 * math.pi / 3.0, 0.01)
 
 
 def test_bnesq_expansion_closed_form(boussinesq):
     # at k=1: m^2 = 1/2, m^2(2k) = 1/5
-    exp = bnesq_expansion(boussinesq, 1.0, 0.01)
+    exp = expansion_for(EquationKind.BOUSSINESQ, boussinesq, 1.0, 0.01)
     assert exp.u2_mean == pytest.approx(-0.5, rel=1e-12)
     assert exp.u2_cos2 == pytest.approx(1.0 / 6.0, rel=1e-12)
     m = eval_m(boussinesq, 1.0)
@@ -81,7 +73,7 @@ def test_bnesq_expansion_closed_form(boussinesq):
 
 
 def test_bnesq_zero_amplitude(boussinesq):
-    exp = bnesq_expansion(boussinesq, 2.0, 0.0)
+    exp = expansion_for(EquationKind.BOUSSINESQ, boussinesq, 2.0, 0.0)
     assert_allclose(exp.u_cosines(4), 0.0, atol=0.0)
     assert_allclose(exp.q_cosines(4), 0.0, atol=0.0)
     assert exp.speed() == pytest.approx(eval_m(boussinesq, 2.0))
@@ -91,27 +83,41 @@ def test_bnesq_zero_amplitude(boussinesq):
 def test_bnesq_expansion_refuses_zero_symbol_values(k, name):
     sym = parse_symbol("1-k^2")  # m(1) = 0
     with pytest.raises(DegenerateResonance, match=rf"^{re.escape(name)}=0.0 too close to 0 at k={k}$"):
-        bnesq_expansion(sym, k, 0.01)
+        expansion_for(EquationKind.BOUSSINESQ, sym, k, 0.01)
     with pytest.raises(DegenerateResonance, match=re.escape(name)):
         newton_wave(EquationKind.BOUSSINESQ, sym, k, 0.01, 16)
 
 
 def test_bnesq_constant_state_speed_squared(boussinesq):
     for k in (0.5, 1.0, 3.0):
-        exp = bnesq_expansion(boussinesq, k, 0.0)
+        exp = expansion_for(EquationKind.BOUSSINESQ, boussinesq, k, 0.0)
         assert exp.c0**2 == pytest.approx(eval_m(boussinesq, k) ** 2, rel=1e-14)
 
 
-def test_bnesq_mean_terms_in_b(boussinesq):
-    b1, b2 = 2e-3, -1e-3
-    exp = bnesq_expansion(boussinesq, 1.0, 0.0, b1, b2)
-    m = eval_m(boussinesq, 1.0)
-    msq = m * m
-    u0 = exp.u_cosines(1)[0]
-    assert u0 == pytest.approx((b1 - b2) * (msq - 1.0), rel=1e-12)
-    q0 = exp.q_cosines(1)[0]
-    assert q0 == pytest.approx((-b1 / m + b2 * m) * (msq - 1.0), rel=1e-12)
-    assert exp.speed() == pytest.approx(m + (b1 - b2) * m * (msq - 1.0), rel=1e-12)
+# modes 0..4 of the k = 0.7, a = 0 start whose sign bit is set: the wave CSV
+# prints them as -0.0, so they are part of its bytes
+@pytest.mark.parametrize("kind,name,params,u_signed,q_signed", [
+    (EquationKind.BBM, "bbm", {}, [], None),
+    (EquationKind.KDV, "whitham", {}, [], None),
+    (EquationKind.BOUSSINESQ, "boussinesq", {}, [], [1, 2]),
+    (EquationKind.BOUSSINESQ, "fractional", {"alpha": 3.0}, [2], [1]),
+    (EquationKind.BBM, "fractional", {"alpha": 3.0}, [2], None),
+    (EquationKind.KDV, "fractional", {"alpha": 3.0}, [2], None),
+], ids=["bbm", "whitham", "boussinesq", "boussinesq-frac3", "bbm-frac3", "kdv-frac3"])
+def test_zero_amplitude_start_keeps_its_signs_of_zero(kind, name, params, u_signed, q_signed):
+    sym = builtin_symbol(name, **params)
+    start = expansion_for(kind, sym, 0.7, 0.0)
+    sol = newton_wave(kind, sym, 0.7, 0.0, 8)
+    assert sol.iterations == 0  # the start is the returned wave
+    channels = [(start.u_cosines(4), sol.u_hat[:5], u_signed)]
+    if q_signed is None:
+        assert sol.q_hat is None
+    else:
+        channels.append((start.q_cosines(4), sol.q_hat[:5], q_signed))
+    for from_start, from_newton, signed in channels:
+        for coeffs in (from_start, from_newton):
+            assert np.all(coeffs == 0.0)
+            assert np.flatnonzero(np.signbit(coeffs)).tolist() == signed
 
 
 # --- Newton-Galerkin solver --------------------------------------------------
@@ -143,7 +149,7 @@ def test_newton_bnesq_speed(boussinesq):
 def test_newton_kdv(bbm):
     sol = newton_wave(EquationKind.KDV, bbm, 1.0, 0.01, 32)
     assert sol.residual <= 1e-12
-    exp = kdv_expansion(bbm, 1.0, 0.01)
+    exp = expansion_for(EquationKind.KDV, bbm, 1.0, 0.01)
     assert sol.u_hat[2] / 0.01**2 == pytest.approx(exp.u2_cos2, rel=2e-3)
     assert sol.c == pytest.approx(exp.speed(), abs=1e-6)
 
@@ -188,7 +194,7 @@ def test_reduced_bidirectional_step_solves_the_full_system(boussinesq, k, a, n_m
     mvals = eval_m(boussinesq, k * np.arange(n))
     pin = a * mvals[1]
     residual, step = _newton_system(EquationKind.BOUSSINESQ, mvals, k, pin)
-    exp = bnesq_expansion(boussinesq, k, a)
+    exp = expansion_for(EquationKind.BOUSSINESQ, boussinesq, k, a)
     start = (exp.u_cosines(n_modes), exp.q_cosines(n_modes), exp.speed())
     rng = np.random.default_rng(7)
     # the Stokes start meets the pin exactly; a perturbed state does not
@@ -216,6 +222,29 @@ def test_newton_refuses_a_non_finite_step(boussinesq, monkeypatch):
         newton_wave(EquationKind.BOUSSINESQ, boussinesq, 1.0, 0.01, 16)
 
 
+@pytest.mark.parametrize("kind,name", [
+    (EquationKind.BBM, "bbm"), (EquationKind.BOUSSINESQ, "boussinesq"),
+], ids=["bbm", "boussinesq"])
+def test_newton_refuses_a_start_that_is_not_finite(kind, name):
+    # a^2 overflows: the start's speed and second harmonic are infinite
+    sym = builtin_symbol(name)
+    assert math.isinf(expansion_for(kind, sym, 1.0, 1e200).speed())
+    with pytest.raises(InvalidArgument,
+                       match=r"^the Stokes start at k=1\.0, a=1e\+200 is not finite$"):
+        newton_wave(kind, sym, 1.0, 1e200, 16)
+
+
+@pytest.mark.parametrize("kind,name", [
+    (EquationKind.BBM, "bbm"), (EquationKind.BOUSSINESQ, "boussinesq"),
+], ids=["bbm", "boussinesq"])
+def test_newton_residual_that_overflows_is_refused_without_a_warning(kind, name):
+    # a^2 is finite, but the residual's products of a-sized entries overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateResonance, match=r"^non-finite Newton step at k=1\.0$"):
+            newton_wave(kind, builtin_symbol(name), 1.0, 1e150, 16)
+
+
 def test_newton_requires_enough_modes(bbm):
     with pytest.raises(ValueError):
         newton_wave(EquationKind.BBM, bbm, 1.0, 0.01, 4)
@@ -233,11 +262,7 @@ def test_newton_close_to_stokes(bbm, boussinesq):
         for k in (0.5, 1.0, 2.0, 4.0):
             for a in (0.01, 0.02):
                 sol = newton_wave(kind, sym, k, a, 32)
-                if kind is EquationKind.BBM:
-                    from modwave.stokes import bbm_expansion as expand
-                else:
-                    from modwave.stokes import bnesq_expansion as expand
-                exp = expand(sym, k, a)
+                exp = expansion_for(kind, sym, k, a)
                 err = wave_l2_norm(sol.u_hat - exp.u_cosines(32))
                 assert err <= 10.0 * a**3
 
