@@ -229,23 +229,25 @@ def disc_cubic(p):
 
 def quartic_disc(p):
     """Discriminant of p4 x^4 + p3 x^3 + p2 x^2 + p1 x + p0 (elementwise).
-    Each power is taken once and reused; the terms keep their order."""
+    Every power is a product of lower powers, not libm pow, which costs
+    more than the rest of the sum over a stack; the terms keep their
+    order.  Only the signs of the discriminants reach any output."""
     p4, p3, p2, p1, p0 = _coefficients(p, 4)
-    p4_2, p3_2, p2_2, p1_2, p0_2 = p4**2, p3**2, p2**2, p1**2, p0**2
-    p3_3, p2_3, p1_3 = p3**3, p2**3, p1**3
+    p4_2, p3_2, p2_2, p1_2, p0_2 = p4 * p4, p3 * p3, p2 * p2, p1 * p1, p0 * p0
+    p3_3, p2_3, p1_3 = p3_2 * p3, p2_2 * p2, p1_2 * p1
     return unbox(
-        256 * p4**3 * p0**3
+        256 * (p4_2 * p4) * (p0_2 * p0)
         - 192 * p4_2 * p3 * p1 * p0_2
         - 128 * p4_2 * p2_2 * p0_2
         + 144 * p4_2 * p2 * p1_2 * p0
-        - 27 * p4_2 * p1**4
+        - 27 * p4_2 * (p1_2 * p1_2)
         + 144 * p4 * p3_2 * p2 * p0_2
         - 6 * p4 * p3_2 * p1_2 * p0
         - 80 * p4 * p3 * p2_2 * p1 * p0
         + 18 * p4 * p3 * p2 * p1_3
-        + 16 * p4 * p2**4 * p0
+        + 16 * p4 * (p2_2 * p2_2) * p0
         - 4 * p4 * p2_3 * p1_2
-        - 27 * p3**4 * p0_2
+        - 27 * (p3_2 * p3_2) * p0_2
         + 18 * p3_3 * p2 * p1 * p0
         - 4 * p3_3 * p1_3
         - 4 * p3_2 * p2_3 * p0
@@ -260,14 +262,16 @@ def quartic_disc1(p):
 
 
 def quartic_disc2(p):
-    """64 p4^3 p0 - 16 p4^2 p2^2 + 16 p4 p3^2 p2 - 16 p4^2 p3 p1 - 3 p3^4."""
+    """64 p4^3 p0 - 16 p4^2 p2^2 + 16 p4 p3^2 p2 - 16 p4^2 p3 p1 - 3 p3^4,
+    its powers taken as products like quartic_disc's."""
     p4, p3, p2, p1, p0 = _coefficients(p, 4)
+    p4_2, p3_2 = p4 * p4, p3 * p3
     return unbox(
-        64.0 * p4**3 * p0
-        - 16.0 * p4**2 * p2**2
-        + 16.0 * p4 * p3**2 * p2
-        - 16.0 * p4**2 * p3 * p1
-        - 3.0 * p3**4
+        64.0 * (p4_2 * p4) * p0
+        - 16.0 * p4_2 * (p2 * p2)
+        + 16.0 * p4 * p3_2 * p2
+        - 16.0 * p4_2 * p3 * p1
+        - 3.0 * (p3_2 * p3_2)
     )
 
 

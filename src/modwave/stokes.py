@@ -229,7 +229,7 @@ def newton_wave(
     the first cosine coefficient of u to that of the Stokes start.  Each
     kind supplies its residual and its step (`_newton_system`); the
     iteration itself is shared.  A start or a step that is not finite is
-    refused.
+    refused, and a residual whose norm overflows ends the iteration.
     """
     if n_modes < 8:
         raise InvalidArgument("n_modes must be >= 8")
@@ -258,6 +258,9 @@ def newton_wave(
             delta = step(u, q, c, res)
             if not np.isfinite(delta).all():
                 raise DegenerateResonance(f"non-finite Newton step at k={k}")
+            if not math.isfinite(rnorm):
+                # the norm overflowed on finite entries: no step brings it to tol
+                raise NoConvergence(it, math.inf)
             state = state + delta
 
 

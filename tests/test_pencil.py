@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -163,6 +164,39 @@ def test_stacked_root_oracle_matches_one_at_a_time():
         expected.append(QuarticClass.FOUR_REAL if n_real == 4 else
                         QuarticClass.TWO_REAL_ONE_PAIR if n_real == 2 else QuarticClass.TWO_PAIRS)
     assert _root_classification(coeffs).tolist() == expected
+
+
+def _exact_disc_terms(p4, p3, p2, p1, p0):
+    """The terms of quartic_disc, quartic_disc1 and quartic_disc2, in exact
+    arithmetic on Fraction coefficients."""
+    disc = [
+        256 * p4**3 * p0**3, -192 * p4**2 * p3 * p1 * p0**2, -128 * p4**2 * p2**2 * p0**2,
+        144 * p4**2 * p2 * p1**2 * p0, -27 * p4**2 * p1**4, 144 * p4 * p3**2 * p2 * p0**2,
+        -6 * p4 * p3**2 * p1**2 * p0, -80 * p4 * p3 * p2**2 * p1 * p0,
+        18 * p4 * p3 * p2 * p1**3, 16 * p4 * p2**4 * p0, -4 * p4 * p2**3 * p1**2,
+        -27 * p3**4 * p0**2, 18 * p3**3 * p2 * p1 * p0, -4 * p3**3 * p1**3,
+        -4 * p3**2 * p2**3 * p0, p3**2 * p2**2 * p1**2,
+    ]
+    disc1 = [8 * p4 * p2, -3 * p3**2]
+    disc2 = [64 * p4**3 * p0, -16 * p4**2 * p2**2, 16 * p4 * p3**2 * p2,
+             -16 * p4**2 * p3 * p1, -3 * p3**4]
+    return disc, disc1, disc2
+
+
+def test_quartic_discs_have_the_exact_sign_where_it_is_decisive():
+    # the first rows of the quartic-classifier check's draw
+    coeffs = property_rng().normal(0.0, 1.0, size=(10_000, 5))[:1000]
+    coeffs[np.abs(coeffs[:, 0]) < 1e-3, 0] = 1.0
+    floats = (quartic_disc(coeffs), quartic_disc1(coeffs), quartic_disc2(coeffs))
+    decisive = 0
+    for i, row in enumerate(coeffs.tolist()):
+        exact = _exact_disc_terms(*map(Fraction, row))
+        for name, value, terms in zip(("disc", "disc1", "disc2"), floats, exact):
+            total = sum(terms)
+            if abs(total) > Fraction(1, 10**9) * sum(map(abs, terms)):
+                decisive += 1
+                assert np.sign(value[i]) == np.sign(total), (name, row)
+    assert decisive > 2900
 
 
 def test_rescaled_requires_positive_xi(bbm):

@@ -245,6 +245,15 @@ def test_newton_residual_that_overflows_is_refused_without_a_warning(kind, name)
             newton_wave(kind, builtin_symbol(name), 1.0, 1e150, 16)
 
 
+def test_newton_residual_norm_that_overflows_ends_the_iteration(frac3):
+    # at k = 1e100 the residual's entries stay finite near 1e200, but its
+    # norm overflows; the iteration stops there instead of taking all its steps
+    with pytest.raises(NoConvergence, match=r"\(residual inf\)$") as info:
+        newton_wave(EquationKind.BBM, frac3, 1e100, 0.01)
+    assert info.value.iterations <= 2
+    assert info.value.residual == math.inf
+
+
 def test_newton_requires_enough_modes(bbm):
     with pytest.raises(ValueError):
         newton_wave(EquationKind.BBM, bbm, 1.0, 0.01, 4)
