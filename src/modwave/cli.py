@@ -2,8 +2,10 @@
 
 Subcommands: index, diagram, spectrum, wave, resonances, validate.
 Options come from an optional JSON config file plus flags; flags win.
-Both reach a command through one RunConfig.parse, and every refused
-argument ends the run as one ``error:`` line with exit status 2.
+Every flag is a RunConfig field, except --config and the symbol flags
+(--symbol, --alpha, --expr, --param), which become the ``symbol`` field.
+File and flags reach a command through one RunConfig.parse, and every
+refused argument ends the run as one ``error:`` line with exit status 2.
 """
 
 from __future__ import annotations
@@ -11,48 +13,24 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import keyword
-import math
 import sys
 from typing import Sequence
 
 import numpy as np
 
 from . import hill, indices, output, pencil, validation
-from .config import RunConfig, load_config
+from .config import HARMONIC_SAMPLES, RunConfig, field_type, load_config
 from .dispersion import DispersionSymbol, check_assumptions, fractional_symbol, symbol_from_config
 from .errors import ConfigError, ModwaveError
 from .indices import Verdict
 from .stokes import EquationKind, newton_wave
 
 
-def _param_values(pairs) -> dict[str, float]:
-    """The --param name=value pairs as a dict; a later name wins."""
-    try:
-        return {name: float(value) for name, value in (p.split("=", 1) for p in pairs or [])}
-    except ValueError:  # a pair without "=", or a value that is not a number
-        raise ConfigError("param", f"expected name=number pairs, got {pairs}") from None
-
-
-def _resolve_symbol(cfg: RunConfig, args) -> DispersionSymbol:
-    if getattr(args, "expr", None):
-        spec = {"expr": args.expr, "params": _param_values(getattr(args, "param", None))}
-    elif getattr(args, "symbol", None):
-        alpha = getattr(args, "alpha", None)
-        spec = {"builtin": args.symbol, "params": {} if alpha is None else {"alpha": alpha}}
-    elif cfg.symbol:
-        spec = cfg.symbol
-    else:
+def _resolve_symbol(cfg: RunConfig) -> DispersionSymbol:
+    if not cfg.symbol:
         raise ConfigError("symbol", "need --symbol, --expr, or a config entry")
-    params = spec.get("params", {})
-    # finite numbers, under names an expression can spell: Python keywords are not names
-    if not isinstance(params, dict) or not all(
-            type(value) in (int, float) and math.isfinite(value) and not keyword.iskeyword(name)
-            for name, value in params.items()):
-        raise ConfigError("symbol",
-                          f"expected finite numbers named by non-keywords, got {params!r}")
     try:
-        sym = symbol_from_config(spec)
+        sym = symbol_from_config(cfg.symbol)
     except (KeyError, TypeError) as exc:  # an unknown builtin, or its parameters wrong
         raise ConfigError("symbol", exc.args[0]) from None
     for warning in sym.warnings:
@@ -72,8 +50,8 @@ def _warn_regime(cfg: RunConfig) -> None:
         print(f"warning: {message}", file=sys.stderr)
 
 
-def cmd_index(cfg: RunConfig, args) -> int:
-    sym = _resolve_symbol(cfg, args)
+def cmd_index(cfg: RunConfig) -> int:
+    sym = _resolve_symbol(cfg)
     kind = cfg.equation_kind()
     report = indices.ind(kind, sym, cfg.k_values())
     verdicts = report.verdict.copy()
@@ -90,7 +68,7 @@ def cmd_index(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_diagram(cfg: RunConfig, args) -> int:
+def cmd_diagram(cfg: RunConfig) -> int:
     """Index signs over the (alpha x k) grid and the curves ind = 0, from one
     fractional symbol with an exponent per row: one call per index and curve."""
     lo, hi = cfg.alpha_range
@@ -123,8 +101,8 @@ def cmd_diagram(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_spectrum(cfg: RunConfig, args) -> int:
-    sym = _resolve_symbol(cfg, args)
+def cmd_spectrum(cfg: RunConfig) -> int:
+    sym = _resolve_symbol(cfg)
     kind = cfg.equation_kind()
     xis = cfg.xi_values().tolist()  # a refused grid neither warns nor solves
     _warn_regime(cfg)
@@ -153,8 +131,8 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_wave(cfg: RunConfig, args) -> int:
-    sym = _resolve_symbol(cfg, args)
+def cmd_wave(cfg: RunConfig) -> int:
+    sym = _resolve_symbol(cfg)
     kind = cfg.equation_kind()
     _warn_regime(cfg)
     sol = newton_wave(kind, sym, cfg.single_k("wave"), cfg.a, cfg.n_modes, tol=cfg.tol)
@@ -172,8 +150,8 @@ def cmd_wave(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_resonances(cfg: RunConfig, args) -> int:
-    sym = _resolve_symbol(cfg, args)
+def cmd_resonances(cfg: RunConfig) -> int:
+    sym = _resolve_symbol(cfg)
     kind = cfg.equation_kind()
     if cfg.k_range is None:
         raise ConfigError("k_range", "resonances needs --k-range")
@@ -185,7 +163,8 @@ def cmd_resonances(cfg: RunConfig, args) -> int:
             "identically degenerate on this range: "
             + ",".join(sorted(scan.degenerate_everywhere))
         )
-    report = check_assumptions(sym, np.linspace(*cfg.k_range, 200), cfg.n_max)
+    report = check_assumptions(sym, np.linspace(*cfg.k_range, HARMONIC_SAMPLES),
+                               cfg.n_max)
     for k_hit, n in report.m4_violations:
         if n > 2:  # n = 2 is already reported as R3
             preamble.append(f"harmonic resonance m(k)=m({n}k) near k={k_hit!r}")
@@ -193,17 +172,42 @@ def cmd_resonances(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_validate(cfg: RunConfig, args) -> int:
+def cmd_validate(cfg: RunConfig) -> int:
     results = validation.run_checks(only=cfg.only)
     if not results:
-        print(f"no checks match --only {cfg.only!r}")
-        return 2
+        raise ConfigError("only", f"no checks match {cfg.only!r}")
     for res in results:
         print(res.line())
         print(f"       ({res.runtime:.2f} s)")
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     return 1 if failed else 0
+
+
+#: each subcommand: its function, its help line, and the RunConfig fields
+#: it takes as flags, in the order --help lists them
+COMMANDS = {
+    "index": (cmd_index, "instability index sweep",
+              ("equation", "symbol", "output", "k", "k_range", "k_steps")),
+    "diagram": (cmd_diagram, "stability diagram for the fractional family",
+                ("output", "alpha_range", "alpha_steps", "k_range", "k_steps", "svg")),
+    "spectrum": (cmd_spectrum, "Floquet-Bloch spectra of the linearization",
+                 ("equation", "symbol", "output", "k", "a", "xi", "xi_range", "xi_steps",
+                  "n_modes", "summary")),
+    "wave": (cmd_wave, "Newton-Galerkin traveling wave",
+             ("equation", "symbol", "output", "k", "a", "n_modes", "tol")),
+    "resonances": (cmd_resonances, "locate resonance wave numbers",
+                   ("equation", "symbol", "output", "k_range", "n_max")),
+    "validate": (cmd_validate, "run the acceptance checks", ("only",)),
+}
+
+#: the help line of each field flag that has one
+_FIELD_HELP = {
+    "n_max": "scan harmonic resonances m(k)=m(nk) up to this n",
+    "summary": "write a JSON summary (max Re per xi)",
+    "svg": "write level curves to this SVG file",
+    "only": "run only checks whose name contains this",
+}
 
 
 @functools.cache
@@ -219,68 +223,30 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, with_symbol=True):
+    annotations = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+    for command, (fn, help_line, names) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
         p.add_argument("--config", help="JSON config file; flags override it")
-        if with_symbol:
-            p.add_argument("--equation", choices=["kdv", "bbm", "boussinesq"])
-            p.add_argument("--symbol", help="builtin symbol name")
-            p.add_argument("--alpha", type=float, help="parameter of the fractional family")
-            p.add_argument("--expr", help="symbol expression in k, e.g. '1/(1+k^2)'")
-            p.add_argument("--param", action="append", help="name=value for --expr")
-        p.add_argument("-o", "--output", help="output CSV path (default: stdout)")
-
-    p_index = sub.add_parser("index", help="instability index sweep")
-    add_common(p_index)
-    p_index.add_argument("--k", type=float)
-    p_index.add_argument("--k-range", nargs=2, type=float, metavar=("LO", "HI"))
-    p_index.add_argument("--k-steps", type=int)
-    p_index.set_defaults(fn=cmd_index)
-
-    p_diag = sub.add_parser("diagram", help="stability diagram for the fractional family")
-    add_common(p_diag, with_symbol=False)
-    p_diag.add_argument("--alpha-range", nargs=2, type=float, metavar=("LO", "HI"))
-    p_diag.add_argument("--alpha-steps", type=int)
-    p_diag.add_argument("--k-range", nargs=2, type=float, metavar=("LO", "HI"))
-    p_diag.add_argument("--k-steps", type=int)
-    p_diag.add_argument("--svg", help="write level curves to this SVG file")
-    p_diag.set_defaults(fn=cmd_diagram)
-
-    p_spec = sub.add_parser("spectrum", help="Floquet-Bloch spectra of the linearization")
-    add_common(p_spec)
-    p_spec.add_argument("--k", type=float)
-    p_spec.add_argument("--a", type=float)
-    p_spec.add_argument("--xi", type=float)
-    p_spec.add_argument("--xi-range", nargs=2, type=float, metavar=("LO", "HI"))
-    p_spec.add_argument("--xi-steps", type=int)
-    p_spec.add_argument("--n-modes", type=int)
-    p_spec.add_argument("--summary", help="write a JSON summary (max Re per xi)")
-    p_spec.set_defaults(fn=cmd_spectrum)
-
-    p_wave = sub.add_parser("wave", help="Newton-Galerkin traveling wave")
-    add_common(p_wave)
-    p_wave.add_argument("--k", type=float)
-    p_wave.add_argument("--a", type=float)
-    p_wave.add_argument("--n-modes", type=int)
-    p_wave.add_argument("--tol", type=float)
-    p_wave.set_defaults(fn=cmd_wave)
-
-    p_res = sub.add_parser("resonances", help="locate resonance wave numbers")
-    add_common(p_res)
-    p_res.add_argument("--k-range", nargs=2, type=float, metavar=("LO", "HI"))
-    p_res.add_argument("--n-max", type=int,
-                       help="scan harmonic resonances m(k)=m(nk) up to this n")
-    p_res.set_defaults(fn=cmd_resonances)
-
-    p_val = sub.add_parser("validate", help="run the acceptance checks")
-    p_val.add_argument("--config", help="JSON config file; flags override it")
-    p_val.add_argument("--only", help="run only checks whose name contains this")
-    p_val.set_defaults(fn=cmd_validate)
-
+        for name in names:
+            if name == "equation":
+                p.add_argument("--equation", choices=[kind.value for kind in EquationKind])
+            elif name == "symbol":
+                p.add_argument("--symbol", help="builtin symbol name")
+                p.add_argument("--alpha", type=float, help="parameter of the fractional family")
+                p.add_argument("--expr", help="symbol expression in k, e.g. '1/(1+k^2)'")
+                p.add_argument("--param", action="append", help="name=value for --expr")
+            elif name == "output":
+                p.add_argument("-o", "--output", help="output CSV path (default: stdout)")
+            else:
+                kind = field_type(annotations[name])
+                typed = ({"nargs": 2, "type": float, "metavar": ("LO", "HI")} if kind is tuple
+                         else {"type": kind})
+                p.add_argument("--" + name.replace("_", "-"), help=_FIELD_HELP.get(name), **typed)
+        p.set_defaults(fn=fn)
     return parser
 
 
-#: every config field a flag can set: all but the symbol, which _resolve_symbol reads
+#: every config field a flag can set: all but the symbol, which the symbol flags declare
 _FLAG_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig) if f.name != "symbol")
 
 
@@ -289,10 +255,23 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         # the file is checked on its own first, so a bad value in it is refused
         # even where a flag overrides it
-        file_values = load_config(args.config).emit() if args.config else {}
+        file_values = load_config(args.config) if args.config else {}
         flags = {key: getattr(args, key) for key in _FLAG_KEYS
                  if getattr(args, key, None) is not None}
-        return args.fn(RunConfig.parse({**file_values, **flags}), args)
+        # the symbol flags declare the symbol field: --expr with its --param
+        # name=value pairs (a later name wins), else --symbol with --alpha
+        if getattr(args, "expr", None):
+            try:
+                params = {name: float(value)
+                          for name, value in (p.split("=", 1) for p in args.param or [])}
+            except ValueError:  # a pair without "=", or a value that is not a number
+                raise ConfigError("param",
+                                  f"expected name=number pairs, got {args.param}") from None
+            flags["symbol"] = {"expr": args.expr, "params": params}
+        elif getattr(args, "symbol", None):
+            flags["symbol"] = {"builtin": args.symbol,
+                               "params": {} if args.alpha is None else {"alpha": args.alpha}}
+        return args.fn(RunConfig.parse({**file_values, **flags}))
     except ModwaveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import keyword
 import math
 from dataclasses import dataclass, field, fields
 from typing import Any
@@ -15,6 +16,11 @@ from .stokes import EquationKind
 #: asymptotic-regime caps; values above these draw a warning, not an error
 XI_WARN = 0.1
 A_WARN = 0.05
+#: the most float64 values (128 MiB) that one dense array of a run may hold;
+#: a size that would need more is refused before anything is allocated
+MAX_DENSE_VALUES = 2**24
+#: k samples of the harmonic-resonance scan of the resonances command
+HARMONIC_SAMPLES = 200
 
 
 @dataclass
@@ -91,18 +97,6 @@ class RunConfig:
             out.append(f"|a|={abs(self.a)} is above the asymptotic cap {A_WARN}")
         return out
 
-    def emit(self) -> dict[str, Any]:
-        """JSON-ready dict; parse(emit(cfg)) == cfg."""
-        out = {}
-        for f in fields(self):
-            val = getattr(self, f.name)
-            if val is None:
-                continue
-            if isinstance(val, tuple):
-                val = list(val)
-            out[f.name] = val
-        return out
-
     @classmethod
     def parse(cls, data: dict[str, Any]) -> "RunConfig":
         annotations = {f.name: f.type for f in fields(cls)}
@@ -117,7 +111,33 @@ class RunConfig:
         # a negative tolerance is never met; 0 is, by a residual of exactly 0
         if cfg.tol < 0:
             raise ConfigError("tol", f"need tol >= 0, got {cfg.tol}")
+        params = cfg.symbol.get("params", {})
+        # finite numbers, under names an expression can spell: Python keywords are not names
+        if not isinstance(params, dict) or not all(
+                type(value) in (int, float) and math.isfinite(value) and not keyword.iskeyword(name)
+                for name, value in params.items()):
+            raise ConfigError("symbol",
+                              f"expected finite numbers named by non-keywords, got {params!r}")
+        # the largest dense array each size sets; a negative size is refused later
+        side = 4 * max(cfg.n_modes, 0) + 2  # the real Bloch matrix of a bidirectional wave
+        k_steps = max(cfg.k_steps, 0)
+        for name, values in (
+                ("n_modes", side * side),
+                ("xi_steps", 2 * max(cfg.xi_steps, 0) * side),  # a spectrum's complex eigenvalues
+                ("k_steps", 32 * k_steps),  # an index sweep's complex (k_steps, 4, 4) pencils
+                ("alpha_steps", max(cfg.alpha_steps, 0) * k_steps),  # a diagram's alpha x k grid
+                ("n_max", max(cfg.n_max - 1, 0) * HARMONIC_SAMPLES)):  # the m(n k) table
+            if values > MAX_DENSE_VALUES:
+                raise ConfigError(name, f"{getattr(cfg, name)} needs an array of {values} float64 "
+                                        f"values, above the budget of {MAX_DENSE_VALUES}")
         return cfg
+
+
+def field_type(annotation: str) -> type:
+    """The type a field annotated e.g. 'float | None' or
+    'tuple[float, float] | None' holds when it is set."""
+    return {"str": str, "dict": dict, "float": float, "int": int,
+            "tuple": tuple}[annotation.split(" ")[0].split("[")[0]]
 
 
 def _fits(val, annotation: str) -> bool:
@@ -127,15 +147,17 @@ def _fits(val, annotation: str) -> bool:
     passed on to the numerics."""
     if val is None:
         return annotation.endswith("None")
-    if annotation.startswith("tuple"):
+    kind = field_type(annotation)
+    if kind is tuple:
         return (isinstance(val, (list, tuple)) and len(val) == 2
                 and all(_fits(v, "float") for v in val))
-    wanted = {"str": str, "dict": dict, "float": (int, float), "int": int}[annotation.split(" ")[0]]
+    wanted = (int, float) if kind is float else kind
     return (isinstance(val, wanted) and not isinstance(val, bool)
             and (not isinstance(val, float) or math.isfinite(val)))
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str) -> dict[str, Any]:
+    """The JSON object in the file, once RunConfig.parse has checked it on its own."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -145,4 +167,5 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("<file>", f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("<file>", "top-level JSON value must be an object")
-    return RunConfig.parse(data)
+    RunConfig.parse(data)
+    return data

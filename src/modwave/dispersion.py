@@ -216,8 +216,8 @@ def _whitham_jet(k: ArrayLike, order: int = 2) -> Jet:
     # g = tanh(k)/k and its derivatives, each with the removable singularity
     # at 0 filled by its Taylor series; m = sqrt(g)
     k = np.asarray(k, dtype=float)
-    a, k2 = np.abs(k), k * k
     with np.errstate(all="ignore"):
+        a, k2 = np.abs(k), k * k
         t = np.tanh(k)
         g = np.where(a < 1e-6, 1.0 - k2 / 3.0 + 2.0 * k2 * k2 / 15.0, t / k)
         if not order:
@@ -500,12 +500,15 @@ def check_assumptions(
     if n_max < 2:
         raise InvalidArgument("n_max must be >= 2")
 
-    # (M1): the jet is finite and consistent with central differences
+    # (M1): the jet is finite and consistent with central differences; an
+    # overflowing h2 * h2 is inf, and the difference quotient over it 0
     try:
         _, d1, d2 = jet_m(sym, grid)
         h1, h2 = 1e-5 * np.maximum(1.0, np.abs(grid)), 1e-4 * np.maximum(1.0, np.abs(grid))
         fd1 = (eval_m(sym, grid + h1) - eval_m(sym, grid - h1)) / (2 * h1)
-        fd2 = (eval_m(sym, grid + h2) - 2.0 * eval_m(sym, grid) + eval_m(sym, grid - h2)) / (h2 * h2)
+        with np.errstate(over="ignore"):
+            fd2 = ((eval_m(sym, grid + h2) - 2.0 * eval_m(sym, grid) + eval_m(sym, grid - h2))
+                   / (h2 * h2))
         m1_ok = bool(np.all(np.maximum(np.abs(d1 - fd1) / np.maximum(1.0, np.abs(d1)),
                                        np.abs(d2 - fd2) / np.maximum(1.0, np.abs(d2))) <= 1e-3))
     except NonFinite:
@@ -538,8 +541,9 @@ def check_assumptions(
 
     # (M4): second and higher harmonic resonances, one table row per n
     n = np.arange(2, n_max + 1)[:, None]
-    roots = scan_roots(lambda k: eval_m(sym, k) - eval_m(sym, n * k), grid,
-                       eval_m(sym, grid) - eval_m(sym, n * grid), tol=1e-12, zero_tol=1e-14)
+    with np.errstate(over="ignore"):  # an n k beyond the floats is inf
+        roots = scan_roots(lambda k: eval_m(sym, k) - eval_m(sym, n * k), grid,
+                           eval_m(sym, grid) - eval_m(sym, n * grid), tol=1e-12, zero_tol=1e-14)
     violations = [(root, order) for order, hits in zip(range(2, n_max + 1), roots) for root in hits]
     m4_ok = not violations
 

@@ -76,9 +76,10 @@ def _base(sym: DispersionSymbol, k) -> tuple[tuple[np.ndarray, ...], np.ndarray]
     if np.any(k <= 0):
         raise InvalidArgument("k must be positive")
     m, mp, mpp = jet_m(sym, k)
-    m2 = eval_m(sym, 2 * k)
-    i1 = 2.0 * mp + k * mpp
-    gs = m + k * mp
+    with np.errstate(over="ignore"):  # an overflow is an inf of the sign an index reads
+        m2 = eval_m(sym, 2 * k)
+        i1 = 2.0 * mp + k * mpp
+        gs = m + k * mp
     return (i1, gs - 1.0, gs + 1.0, m - m2, m + m2), m2
 
 
@@ -109,13 +110,14 @@ def _columns(kind: EquationKind, sym: DispersionSymbol, k):
     """
     base, m2 = _base(sym, k)
     i1, i2m, i2p, i3m, i3p = base
-    i_eq = _combine(kind, base, m2)
-    if kind is EquationKind.BOUSSINESQ:
-        denom = i3m * i3p
-        numer = i1 * i2m * i2p * i_eq
-    else:
-        denom = i3m
-        numer = i1 * i2m * i_eq
+    with np.errstate(over="ignore"):  # an overflow is an inf of the sign the verdict reads
+        i_eq = _combine(kind, base, m2)
+        if kind is EquationKind.BOUSSINESQ:
+            denom = i3m * i3p
+            numer = i1 * i2m * i2p * i_eq
+        else:
+            denom = i3m
+            numer = i1 * i2m * i_eq
     with np.errstate(all="ignore"):
         value = np.where(np.abs(denom) <= DEGENERACY_TOL, np.nan, numer / denom)
     return (*base, i_eq, value, denom)

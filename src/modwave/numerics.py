@@ -111,10 +111,11 @@ def scan_roots(
     """
     table = np.array(vals, dtype=float, ndmin=2)
     zero = np.zeros(table.shape, dtype=bool) if zero_tol is None else np.abs(table) <= zero_tol
-    cross = (table[:, :-1] * table[:, 1:] < 0.0) & ~zero[:, :-1] & ~zero[:, 1:]
-    if poles is not None:
-        poles = np.array(poles, ndmin=2)
-        cross &= ~(poles[:, :-1] * poles[:, 1:] < 0.0)
+    with np.errstate(over="ignore"):  # an overflowing product keeps its sign
+        cross = (table[:, :-1] * table[:, 1:] < 0.0) & ~zero[:, :-1] & ~zero[:, 1:]
+        if poles is not None:
+            poles = np.array(poles, ndmin=2)
+            cross &= ~(poles[:, :-1] * poles[:, 1:] < 0.0)
     found = np.where(zero, grid, np.nan)
     row, col = np.nonzero(cross)
     if row.size:

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -190,7 +191,7 @@ def test_diagram_leaves_config_unchanged(tmp_path):
     cfg = RunConfig(alpha_range=(2.5, 3.5), alpha_steps=2, k_steps=11,
                     output=str(tmp_path / "grid.csv"))
     before = dataclasses.replace(cfg)
-    assert cmd_diagram(cfg, argparse.Namespace()) == 0
+    assert cmd_diagram(cfg) == 0
     assert cfg == before and cfg.k_range is None
     assert read(tmp_path / "grid.csv").splitlines()[2].startswith("2.5,0.05,")
 
@@ -275,12 +276,6 @@ def test_config_file_and_override(tmp_path):
     # flag overrides the config value
     assert run(["index", "--config", str(cfg), "--k", "2.0", "-o", str(out)]) == 0
     assert read(out).splitlines()[1].split(",")[8] == "ModulationallyUnstable"
-
-
-def test_config_round_trip():
-    cfg = RunConfig(equation="bbm", symbol={"builtin": "bbm"}, k_range=(0.5, 3.0),
-                    k_steps=11, a=0.02)
-    assert RunConfig.parse(cfg.emit()) == cfg
 
 
 def test_config_grids_end_exactly_at_hi():
@@ -606,3 +601,94 @@ def test_python_dash_m_modwave(tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert any(line.startswith("[PASS] bbm-threshold") for line in proc.stdout.splitlines())
+
+
+def test_each_subcommand_takes_exactly_its_flags():
+    symbol_flags = ["--equation", "--symbol", "--alpha", "--expr", "--param", "-o", "--output"]
+    expected = {
+        "index": ["--config", *symbol_flags, "--k", "--k-range", "--k-steps"],
+        "diagram": ["--config", "-o", "--output", "--alpha-range", "--alpha-steps", "--k-range",
+                    "--k-steps", "--svg"],
+        "spectrum": ["--config", *symbol_flags, "--k", "--a", "--xi", "--xi-range", "--xi-steps",
+                     "--n-modes", "--summary"],
+        "wave": ["--config", *symbol_flags, "--k", "--a", "--n-modes", "--tol"],
+        "resonances": ["--config", *symbol_flags, "--k-range", "--n-max"],
+        "validate": ["--config", "--only"],
+    }
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(expected)
+    for command, parser in sub.choices.items():
+        flags = [s for a in parser._actions for s in a.option_strings if s not in ("-h", "--help")]
+        assert flags == expected[command], command
+
+
+@pytest.mark.parametrize("argv", [
+    ["index", "--equation", "bbm", "--symbol", "bbm", "--k", "1"],
+    ["index", "--equation", "bbm", "--expr", "1+k^2", "--k", "1"],
+    ["diagram", "--k-range", "0.1", "3", "--k-steps", "5"],
+    ["validate", "--only", "zzz"],
+], ids=["symbol-flag", "expr-flag", "diagram", "validate"])
+def test_bad_config_file_symbol_is_refused_where_a_flag_overrides_it_or_none_is_read(
+        argv, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"symbol": {"expr": "1+lambda*k^2", "params": {"lambda": 2}}}))
+    assert run([argv[0], "--config", str(cfg), *argv[1:]]) == 2
+    assert capsys.readouterr() == ("", "error: config field 'symbol': expected finite numbers "
+                                       "named by non-keywords, got {'lambda': 2}\n")
+
+
+def test_validate_without_a_matching_check_is_one_error_line(capsys):
+    assert run(["validate", "--only", "zzz"]) == 2
+    assert capsys.readouterr() == ("", "error: config field 'only': no checks match 'zzz'\n")
+
+
+@pytest.mark.parametrize("argv,field,values", [
+    (["spectrum", "--equation", "boussinesq", "--symbol", "boussinesq", "--k", "1", "--a", "0.01",
+      "--xi", "0.01", "--n-modes", "8000"], "n_modes", 32002**2),
+    (["index", "--equation", "bbm", "--symbol", "bbm", "--k-range", "0.1", "3",
+      "--k-steps", "1000000000"], "k_steps", 32 * 10**9),
+    (["spectrum", "--equation", "bbm", "--symbol", "bbm", "--k", "1", "--xi-range", "0", "0.1",
+      "--xi-steps", "64528"], "xi_steps", 2 * 64528 * 130),
+    (["diagram", "--alpha-steps", "166112"], "alpha_steps", 166112 * 101),
+    (["resonances", "--equation", "bbm", "--symbol", "bbm", "--k-range", "0.5", "3",
+      "--n-max", "83888"], "n_max", 83887 * 200),
+], ids=["n-modes", "k-steps", "xi-steps", "alpha-steps", "n-max"])
+def test_size_above_the_budget_is_refused_before_any_work(argv, field, values, capsys,
+                                                          monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a refused size reached the numerics")
+
+    for name in ("_resolve_symbol", "fractional_symbol", "validation"):
+        monkeypatch.setattr(f"modwave.cli.{name}", no_work)
+    assert run(argv) == 2
+    value = argv[argv.index("--" + field.replace("_", "-")) + 1]
+    assert capsys.readouterr() == ("", f"error: config field '{field}': {value} needs an array of "
+                                       f"{values} float64 values, above the budget of 16777216\n")
+
+
+def test_largest_sizes_in_use_are_inside_the_budget():
+    # the bench's spectrum and wave truncations, its index sweep and its diagram grid
+    for sizes in ({"n_modes": 64, "xi_steps": 21}, {"n_modes": 128}, {"k_steps": 2001},
+                  {"alpha_steps": 17, "k_steps": 101}):
+        RunConfig.parse(sizes)
+    # the largest size of each field the budget takes
+    RunConfig.parse({"n_modes": 1023})
+    RunConfig.parse({"xi_steps": 64527})
+    RunConfig.parse({"k_steps": 2**19, "alpha_steps": 32})
+    RunConfig.parse({"n_max": 83887})
+
+
+@pytest.mark.parametrize("argv", [
+    ["resonances", "--equation", "bbm", "--expr", "exp(-k)", "--k-range", "0.01", "1.7e308"],
+    ["index", "--equation", "boussinesq", "--symbol", "fractional", "--alpha", "7.5", "--k", "1e6"],
+    ["diagram", "--k-range", "1", "1e8", "--k-steps", "24"],
+    ["resonances", "--equation", "bbm", "--symbol", "fractional", "--alpha", "1.5",
+     "--k-range", "1", "1e200"],
+    ["resonances", "--equation", "bbm", "--symbol", "whitham", "--k-range", "1", "1e200"],
+], ids=["base-2k", "columns-numerator", "diagram-scan-product", "combine", "whitham-assumptions"])
+def test_overflow_to_inf_draws_no_numpy_warning(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 0
+    out, err = capsys.readouterr()
+    assert out and all(line.startswith("warning: ") for line in err.splitlines())
