@@ -210,11 +210,20 @@ _FIELD_HELP = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, subcommand parsers included, that refuses an
+    argument as every other refusal ends: one ``error:`` line, exit 2,
+    with no usage block before it."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on first use and shared by every later call:
     parse_args keeps no state on it, so one process builds it once."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="modwave",
         description=(
             "Modulational stability of small periodic traveling waves for "

@@ -9,7 +9,11 @@ each kind supplies a real core matrix (one entry per mode pair for the
 scalar kinds, a 2 x 2 block per mode pair for the bidirectional system,
 whose unknowns are ordered u_n, q_n per mode) that is scaled row by row
 by n+xi.  The Bloch matrix is i times that real matrix R, so every
-eigensolve, which goes through `spectrum`, is a real one of R.
+eigensolve, which goes through `spectrum`, is a real one of R, taken in
+graded row order (largest |n+xi| first).  A bidirectional slice is also
+taken to the flat-state basis, mode by mode: the similarity
+V_n = diag(d_n, 1) [[1, 1], [1, -1]], d_n = m(k(n+xi)), diagonalises the
+a = 0 operator, and a mode with |m| <= RESONANCE_TOL keeps d_n = 1.
 The module also tracks eigenvalue collisions of the flat-state
 frequencies, sampled as one (branch x xi) table per wave number, and
 cross-validates the reduced pencils against the discrete spectra.
@@ -25,9 +29,9 @@ import numpy as np
 
 from .dispersion import DispersionSymbol, eval_m, group_speed
 from .errors import EigenFailure, InvalidArgument, MatchFailure
-from .numerics import cos_to_full, scan_roots
+from .numerics import cos_to_full, opposite_signs, scan_roots
 from .pencil import build_pencil
-from .stokes import EquationKind, WaveSolution, newton_wave
+from .stokes import RESONANCE_TOL, EquationKind, WaveSolution, newton_wave
 
 #: eigenvalues below this modulus are snapped to zero for multiplicity counts
 ZERO_SNAP = 1e-12
@@ -114,20 +118,52 @@ def assemble(
     return BlochOperator(xi, n_modes, real, wave)
 
 
+def _graded_flat(op: BlochOperator) -> np.ndarray:
+    """The matrix `spectrum` solves for a slice: R in graded order, and
+    for the bidirectional kind in the flat-state basis, V^-1 R V.
+
+    The order is a stable sort of each mode's |n+xi| repeated per unknown,
+    so a mode's (u, q) pair stays adjacent, and the blocks of V act in
+    place on the graded copy.  At a = 0 the result is
+    diag(s(c + m), s(c - m)) per mode.
+    """
+    shifted = np.arange(-op.n_modes, op.n_modes + 1) + op.xi
+    width = op.real.shape[0] // shifted.size
+    rows = np.argsort(-np.repeat(np.abs(shifted), width), kind="stable")
+    graded = op.real[np.ix_(rows, rows)]
+    if width == 2:
+        d = eval_m(op.wave.sym, op.wave.k * shifted)[rows[::2] // 2]
+        d = np.where(np.abs(d) <= RESONANCE_TOL, 1.0, d)  # V_n singular at m = 0: rotate only
+        blocks = graded.reshape(d.size, 2, d.size, 2)  # [n, u/q row, m, u/q column]
+        u, q = blocks[..., 0], blocks[..., 1]
+        u *= d  # right factor: columns (u d_m + q, u d_m - q)
+        u += q
+        q *= -2.0
+        q += u
+        u, q = blocks[:, 0], blocks[:, 1]
+        u /= 2.0 * d[:, None, None]  # left factor: rows (u / d_n + q, u / d_n - q) / 2
+        q *= 0.5
+        u += q
+        q *= -2.0
+        q += u
+    return graded
+
+
 def spectrum(op: BlochOperator) -> SpectrumSlice:
     """Full spectrum of the truncated operator, sorted by (Re, Im).
 
     The eigenvalues mu of the real matrix R map to lambda = i mu.  A real
     mu, the neutrally stable case, gives Re lambda = +0.0 exactly, so a
     stable slice is ordered by Im alone.  R is solved in a graded row
-    order, largest |n+xi| first (a similarity by permutation): LAPACK's
-    nonsymmetric QR iteration finishes sooner on it.  The near-origin
-    cluster is measured with the symbol the wave was solved with.
+    order, largest |n+xi| first (a similarity by permutation), and a
+    bidirectional slice also in the flat-state basis, where the a = 0
+    operator is diagonal (see `_graded_flat`; a mode with m(k(n+xi))
+    within RESONANCE_TOL of 0 is only rotated): LAPACK's nonsymmetric QR
+    iteration finishes sooner on both.  The near-origin cluster is
+    measured with the symbol the wave was solved with.
     """
-    scale = np.abs(np.arange(-op.n_modes, op.n_modes + 1) + op.xi)
-    rows = np.argsort(-np.repeat(scale, op.real.shape[0] // scale.size), kind="stable")
     try:
-        mu = np.linalg.eigvals(op.real[np.ix_(rows, rows)])
+        mu = np.linalg.eigvals(_graded_flat(op))
     except np.linalg.LinAlgError as exc:  # non-finite entries or a LAPACK failure
         raise EigenFailure(str(exc)) from exc
     vals = (0.0 - mu.imag) + 1j * mu.real
@@ -226,7 +262,7 @@ def _end_zeros(vals: np.ndarray) -> np.ndarray:
 def _collides(vals: np.ndarray) -> bool:
     """Whether collision_scan finds anything in these samples: a strict
     sign change (each is refined to a root) or a zero at xi = 1/2."""
-    return bool(np.any(vals[:, :-1] * vals[:, 1:] < 0.0) or np.any(_end_zeros(vals)))
+    return bool(np.any(opposite_signs(vals[:, :-1], vals[:, 1:])) or np.any(_end_zeros(vals)))
 
 
 def collision_scan(

@@ -33,6 +33,13 @@ def property_rng() -> np.random.Generator:
     return np.random.default_rng(PROPERTY_TEST_SEED)
 
 
+def opposite_signs(a, b):
+    """Elementwise, whether a and b have strictly opposite signs; unlike
+    a * b < 0, a product that underflows to zero does not hide it.  A zero
+    or a nan has no sign."""
+    return np.sign(a) * np.sign(b) < 0.0
+
+
 def find_root(f: Callable, bracket, tol: float = 1e-12):
     """Bisection/secant hybrid, elementwise over brackets; iterates stay in them.
 
@@ -44,8 +51,9 @@ def find_root(f: Callable, bracket, tol: float = 1e-12):
     one does neither within 200 iterations.
     """
     lo, hi, f_lo, f_hi = (np.array(b, dtype=float, ndmin=1) for b in bracket)
-    if not np.all(f_lo * f_hi < 0.0):
-        i = np.argmin(f_lo * f_hi < 0.0)
+    bracketed = opposite_signs(f_lo, f_hi)
+    if not np.all(bracketed):
+        i = np.argmin(bracketed)
         raise InvalidArgument(f"f({lo[i]})={f_lo[i]:.3e} and f({hi[i]})={f_hi[i]:.3e} "
                               "do not bracket a root")
     x = 0.5 * (lo + hi)
@@ -66,7 +74,7 @@ def find_root(f: Callable, bracket, tol: float = 1e-12):
         fx = f_at(x)
         stop = ~out & (np.abs(fx) <= tol)
         found, out = np.where(stop, x, mid), out | stop
-        left = f_lo * fx < 0.0
+        left = opposite_signs(f_lo, fx)
         lo, f_lo = np.where(left, lo, x), np.where(left, f_lo, fx)
         hi, f_hi = np.where(left, x, hi), np.where(left, fx, f_hi)
         # force a bisection step wherever the secant stops contracting
@@ -76,7 +84,7 @@ def find_root(f: Callable, bracket, tol: float = 1e-12):
             fm = f_at(np.where(forced, mid, x))
             stop = forced & (np.abs(fm) <= tol)
             found, out = np.where(stop, mid, found), out | stop
-            left = forced & (f_lo * fm < 0.0)
+            left = forced & opposite_signs(f_lo, fm)
             right = forced & ~left
             lo, f_lo = np.where(right, mid, lo), np.where(right, fm, f_lo)
             hi, f_hi = np.where(left, mid, hi), np.where(left, fm, f_hi)
@@ -111,11 +119,10 @@ def scan_roots(
     """
     table = np.array(vals, dtype=float, ndmin=2)
     zero = np.zeros(table.shape, dtype=bool) if zero_tol is None else np.abs(table) <= zero_tol
-    with np.errstate(over="ignore"):  # an overflowing product keeps its sign
-        cross = (table[:, :-1] * table[:, 1:] < 0.0) & ~zero[:, :-1] & ~zero[:, 1:]
-        if poles is not None:
-            poles = np.array(poles, ndmin=2)
-            cross &= ~(poles[:, :-1] * poles[:, 1:] < 0.0)
+    cross = opposite_signs(table[:, :-1], table[:, 1:]) & ~zero[:, :-1] & ~zero[:, 1:]
+    if poles is not None:
+        poles = np.array(poles, ndmin=2)
+        cross &= ~opposite_signs(poles[:, :-1], poles[:, 1:])
     found = np.where(zero, grid, np.nan)
     row, col = np.nonzero(cross)
     if row.size:

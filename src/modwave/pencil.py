@@ -316,15 +316,21 @@ def classify_quartic(p, tol=None) -> QuarticClassification:
     disc<0: two real roots and one conjugate pair; disc>0 with disc1<0 and
     disc2<0: four real roots; disc>0 with disc1>0 or disc2>0: two
     conjugate pairs.  |disc|<=tol (or a boundary sign pattern) returns
-    Degenerate rather than guessing.
+    Degenerate rather than guessing, and so does a discriminant that
+    overflows: the discriminants and the tolerance are evaluated with
+    numpy's overflow and invalid-value warnings off, and a non-finite
+    disc, disc1 or disc2 is Degenerate.
     """
     if np.any(_coefficients(p, 4)[0] == 0.0):
         raise InvalidArgument("quartic leading coefficient is zero")
-    if tol is None:
-        tol = default_disc_tolerance(p)
-    d, d1, d2 = quartic_disc(p), quartic_disc1(p), quartic_disc2(p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if tol is None:
+            tol = default_disc_tolerance(p)
+        d, d1, d2 = quartic_disc(p), quartic_disc1(p), quartic_disc2(p)
+    finite = np.isfinite(d) & np.isfinite(d1) & np.isfinite(d2)
     code = np.select(
-        [np.abs(d) <= tol, d < 0.0, (d1 < 0.0) & (d2 < 0.0), (d1 > 0.0) | (d2 > 0.0)],
+        [~finite | (np.abs(d) <= tol), d < 0.0, (d1 < 0.0) & (d2 < 0.0),
+         (d1 > 0.0) | (d2 > 0.0)],
         [0, 1, 2, 3],
         default=0,
     )

@@ -692,3 +692,42 @@ def test_overflow_to_inf_draws_no_numpy_warning(argv, capsys):
         assert run(argv) == 0
     out, err = capsys.readouterr()
     assert out and all(line.startswith("warning: ") for line in err.splitlines())
+
+
+def test_overflowing_pencil_quartic_is_degenerate_without_a_warning(capsys):
+    argv = ["index", "--equation", "boussinesq", "--expr", "1-k^2", "--k", "1e8"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[1].split(",")[8] == Verdict.DEGENERATE.value
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["index", "--equation", "bbm", "--symbol", "bbm", "--k-range", "0.1", "3", "--k-steps", "x"],
+     r"argument --k-steps: invalid int value: 'x'"),
+    (["index", "--equation", "nope", "--symbol", "bbm", "--k", "1"],
+     r"argument --equation: invalid choice: 'nope' \(choose from .+\)"),
+    (["index", "--equation", "bbm", "--symbol", "bbm", "--k", "1", "--nope"],
+     r"unrecognized arguments: --nope"),
+    ([], r"the following arguments are required: command"),
+], ids=["not-an-int", "unknown-choice", "unknown-flag", "no-subcommand"])
+def test_argparse_refusal_is_one_error_line(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(rf"error: {message}\n", err)
+
+
+def test_bidirectional_spectrum_with_a_zero_symbol_mode(capsys):
+    # m(3) = 0 for 1 - k^2/9 at k = 1, xi = 0: the mode's flat-state
+    # basis is the rotation alone
+    argv = ["spectrum", "--equation", "boussinesq", "--expr", "1-k^2/9", "--k", "1",
+            "--a", "0.01", "--xi", "0", "--n-modes", "8"]
+    assert run(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert len(rows) == 2 * 17
+    assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from modwave import hill
-from modwave.dispersion import eval_m
+from modwave.dispersion import eval_m, parse_symbol
 from modwave.errors import InvalidArgument
 from modwave.hill import (
     assemble,
@@ -62,6 +62,42 @@ def test_bnesq_flat_state_eigenvalues(boussinesq):
         expected.append(omega(boussinesq, k, m, xi, +1))
         expected.append(omega(boussinesq, k, m, xi, -1))
     assert_allclose(np.sort(got.imag), np.sort(np.array(expected)), atol=1e-10)
+
+
+def _hausdorff(a, b):
+    """Largest distance from an eigenvalue of either set to the other set."""
+    gaps = np.abs(a[:, None] - b[None, :])
+    return max(gaps.min(axis=1).max(), gaps.min(axis=0).max())
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_bnesq_flat_basis_spectrum_matches_a_plain_eigensolve(n, boussinesq):
+    wave = newton_wave(EquationKind.BOUSSINESQ, boussinesq, 1.0, 0.01, n)
+    for xi in (0.001, 0.3):
+        op = assemble(EquationKind.BOUSSINESQ, boussinesq, wave, xi, n)
+        mu = np.linalg.eigvals(op.real)  # natural order, no change of basis
+        reference = (0.0 - mu.imag) + 1j * mu.real
+        got = spectrum(op).eigenvalues
+        assert got.size == reference.size
+        assert _hausdorff(got, reference) <= 1e-12 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("name, expr", [("boussinesq", None), ("fast", "1/sqrt(1+k^2+k^4)")])
+def test_bnesq_flat_basis_is_diagonal_at_zero_amplitude(name, expr, boussinesq):
+    sym = boussinesq if expr is None else parse_symbol(expr)
+    k, xi, n = 1.0, 0.2, 32
+    wave = _flat(EquationKind.BOUSSINESQ, sym, k, n)
+    op = assemble(EquationKind.BOUSSINESQ, sym, wave, xi, n)
+    s = np.arange(-n, n + 1) + xi
+    m = eval_m(sym, k * s)
+    closed = np.sort(np.concatenate([s * (wave.c + m), s * (wave.c - m)]))
+    radius = np.max(np.abs(closed))
+    ulp = np.finfo(float).eps * radius
+    flat = hill._graded_flat(op)
+    assert np.max(np.abs(flat - np.diag(np.diag(flat)))) <= 4 * ulp
+    got = spectrum(op).eigenvalues
+    assert np.all(got.real == 0.0)
+    assert np.max(np.abs(np.sort(got.imag) - closed)) <= 4 * ulp
 
 
 def test_zero_multiplicities(bbm, boussinesq):

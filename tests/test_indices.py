@@ -147,6 +147,15 @@ def test_critical_wavenumber_fractional(frac3):
     assert k_bbm == pytest.approx(expected, abs=1e-9)
 
 
+def test_critical_wavenumber_whitham_kdv(whitham):
+    # Hur & Johnson (Stud. Appl. Math. 134, 2015): small Whitham waves are
+    # modulationally unstable above kh = 1.145
+    k_star = critical_wavenumber(EquationKind.KDV, whitham, (0.2, 3.0), 600)
+    assert k_star == pytest.approx(1.1460366, abs=5e-8)
+    assert abs(k_star - 1.145) <= 2e-3
+    assert ind(EquationKind.KDV, whitham, 1.1).ind > 0 > ind(EquationKind.KDV, whitham, 1.2).ind
+
+
 def test_critical_wavenumber_none(boussinesq):
     assert critical_wavenumber(EquationKind.BOUSSINESQ, boussinesq, (0.1, 10.0)) is None
 

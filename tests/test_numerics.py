@@ -127,6 +127,17 @@ def test_scan_roots():
     assert counts[0] > 0 and counts[0] == counts[1] == counts[2]
 
 
+def test_scan_roots_sees_a_sign_change_whose_product_underflows():
+    # 0.5e-200 * -0.5e-200 underflows to -0.0, which is not < 0
+    grid = np.array([0.0, 1.0])
+
+    def f(x):
+        return 0.5e-200 - 1e-200 * x
+
+    assert scan_roots(f, grid, f(grid)) == [0.5]
+    assert find_root(f, (0.0, 1.0, f(0.0), f(1.0))) == 0.5
+
+
 def test_scan_roots_table_rows_match_one_row_scans():
     grid = np.linspace(0.1, 10.0, 200)
     n = np.arange(1, 6)[:, None]

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -130,6 +131,20 @@ def test_classify_examples():
     assert classify_quartic([1, 0, 2, 0, 1]).category is QuarticClass.DEGENERATE
     with pytest.raises(InvalidArgument, match="^quartic leading coefficient is zero$"):
         classify_quartic([0, 1, 2, 3, 4])
+
+
+def test_overflowing_discriminants_are_degenerate():
+    # degree-6 discriminant terms of coefficients near 1e80 overflow; the
+    # row is Degenerate, without a numpy warning, and a finite row of the
+    # same stack keeps its class
+    p = np.array([[1.0, 0.0, -5.0, 0.0, 4.0], [1e80, 0.0, -5e80, 0.0, 4e80]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = classify_quartic(p)
+        one = classify_quartic(p[1])
+    assert got.category.tolist() == [QuarticClass.FOUR_REAL, QuarticClass.DEGENERATE]
+    assert not np.isfinite(got.disc[1])
+    assert one.category is QuarticClass.DEGENERATE
 
 
 def test_classifier_agrees_with_root_oracle():
