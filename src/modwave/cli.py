@@ -79,10 +79,10 @@ def cmd_diagram(cfg: RunConfig) -> int:
     ks = cfg.k_values()
     alphas = np.linspace(lo, hi, cfg.alpha_steps)
     sym = fractional_symbol(alphas[:, None])
-    kinds = (EquationKind.KDV, EquationKind.BBM, EquationKind.BOUSSINESQ)
-    # sign of each index: 0 for |ind| <= 1e-12, -1 for the nan of a degenerate one
-    signs = [np.where(np.abs(v) <= 1e-12, 0, np.where(v > 0, 1, -1)).ravel().tolist()
-             for v in (indices.ind(kind, sym, ks).ind for kind in kinds)]
+    kinds = tuple(EquationKind)  # kdv, bbm, bnesq: the column order
+    # sign of each index: 0 for |ind| <= DEGENERACY_TOL, -1 for the nan of a degenerate one
+    signs = [np.where(np.abs(v) <= indices.DEGENERACY_TOL, 0, np.where(v > 0, 1, -1))
+             .ravel().tolist() for v in (indices.ind(kind, sym, ks).ind for kind in kinds)]
     rows = zip(np.repeat(alphas, ks.size).tolist(), np.tile(ks, alphas.size).tolist(), *signs)
     curve_rows = list(zip(alphas.tolist(), *(indices.critical_wavenumber(kind, sym, (ks[0], ks[-1]))
                                              for kind in kinds[1:])))

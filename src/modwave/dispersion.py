@@ -539,11 +539,13 @@ def check_assumptions(
         # report-only quality gate: the tail must actually look like a power law
         m3_ok = bool(np.max(np.abs(resid)) <= 0.15)
 
-    # (M4): second and higher harmonic resonances, one table row per n
+    # (M4): second and higher harmonic resonances, one table row per n; a
+    # sample is a zero within 1e-14 of the values it compares, not absolutely
     n = np.arange(2, n_max + 1)[:, None]
     with np.errstate(over="ignore"):  # an n k beyond the floats is inf
-        roots = scan_roots(lambda k: eval_m(sym, k) - eval_m(sym, n * k), grid,
-                           eval_m(sym, grid) - eval_m(sym, n * grid), tol=1e-12, zero_tol=1e-14)
+        mk, mnk = eval_m(sym, grid), eval_m(sym, n * grid)
+        roots = scan_roots(lambda k: eval_m(sym, k) - eval_m(sym, n * k), grid, mk - mnk,
+                           tol=1e-12, zero_tol=1e-14 * np.maximum(np.abs(mk), np.abs(mnk)))
     violations = [(root, order) for order, hits in zip(range(2, n_max + 1), roots) for root in hits]
     m4_ok = not violations
 

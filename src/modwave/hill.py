@@ -15,8 +15,9 @@ taken to the flat-state basis, mode by mode: the similarity
 V_n = diag(d_n, 1) [[1, 1], [1, -1]], d_n = m(k(n+xi)), diagonalises the
 a = 0 operator, and a mode with |m| <= RESONANCE_TOL keeps d_n = 1.
 The module also tracks eigenvalue collisions of the flat-state
-frequencies, sampled as one (branch x xi) table per wave number, and
-cross-validates the reduced pencils against the discrete spectra.
+frequencies of every kind, sampled as one (branch x xi) table per wave
+number, and cross-validates the reduced pencils against the discrete
+spectra.
 """
 
 from __future__ import annotations
@@ -128,10 +129,9 @@ def _graded_flat(op: BlochOperator) -> np.ndarray:
     diag(s(c + m), s(c - m)) per mode.
     """
     shifted = np.arange(-op.n_modes, op.n_modes + 1) + op.xi
-    width = op.real.shape[0] // shifted.size
-    rows = np.argsort(-np.repeat(np.abs(shifted), width), kind="stable")
+    rows = np.argsort(-np.repeat(np.abs(shifted), op.real.shape[0] // shifted.size), kind="stable")
     graded = op.real[np.ix_(rows, rows)]
-    if width == 2:
+    if op.wave.kind.bidirectional:
         d = eval_m(op.wave.sym, op.wave.k * shifted)[rows[::2] // 2]
         d = np.where(np.abs(d) <= RESONANCE_TOL, 1.0, d)  # V_n singular at m = 0: rotate only
         blocks = graded.reshape(d.size, 2, d.size, 2)  # [n, u/q row, m, u/q column]
@@ -192,8 +192,9 @@ def zero_multiplicity(sl: SpectrumSlice) -> int:
 
 def omega(sym: DispersionSymbol, k: float, n, xi, branch=-1):
     """Flat-state frequency (xi+n)(m(k) + branch m(k(xi+n))), elementwise
-    over arrays of n, xi and branch: branch -1 is the scalar family's
-    frequency, +1 and -1 the two branches of the bidirectional system."""
+    over arrays of n, xi and branch: branch -1 is the scalar kinds'
+    frequency (BBM's; KdV's is its negative, with the same collisions),
+    +1 and -1 the two branches of the bidirectional system."""
     return (xi + n) * (eval_m(sym, k) + branch * eval_m(sym, k * (xi + n)))
 
 
@@ -231,21 +232,19 @@ def _collision_layout(kind: EquationKind, n_range, pairs) -> _CollisionLayout:
     ns = sorted(set(int(n) for n in n_range))
     if pairs is not None:
         pairs = [(int(n1), int(n2)) for n1, n2 in pairs]
-    if kind is EquationKind.BOUSSINESQ:
+    if kind.bidirectional:
         branches = [(n, s) for n in ns for s in (+1, -1)]
         # combinations of the sorted branches keep n1 <= n2
         wanted = None if pairs is None else {tuple(sorted(p)) for p in pairs}
         combos = [(b1, b2) for b1, b2 in itertools.combinations(branches, 2)
                   if wanted is None or (b1[0], b2[0]) in wanted]
-    elif kind is EquationKind.BBM:
+    else:
         if pairs is None:
             pairs = list(itertools.combinations(ns, 2))
         selfs = [p for p in pairs if p[0] == p[1]]
         if selfs:
             raise InvalidArgument(f"mode pairs {selfs} pair a mode with itself")
         combos = [((n1, -1), (n2, -1)) for n1, n2 in pairs]
-    else:
-        raise InvalidArgument("collision scan supports the BBM-type and bidirectional kinds")
     rows, pick = np.unique(np.array(combos, dtype=int).reshape(-1, 2), axis=0,
                            return_inverse=True)
     first, second = pick.reshape(-1, 2).T
@@ -279,15 +278,16 @@ def collision_scan(
     difference.  The frequencies of every (mode, branch) that takes part
     are sampled once, as one (branch x xi) table; a pair's samples are
     the difference of two rows, and one scan refines the sign changes of
-    all pairs.  ``pairs`` holds (n1, n2) as tuples or lists.  The
-    BBM-type scan takes them in the order and orientation given and
-    rejects a mode paired with itself, whose frequency difference
-    vanishes identically; the bidirectional one keeps the branch
-    combinations whose modes form one of ``pairs`` in either order.
-    An exact zero counts as a collision only at the right endpoint
-    xi = 1/2: the grid starts strictly inside the interval, and interior
-    samples sit on the trivial common zero tail of all branches as
-    xi -> 0.
+    all pairs.  Every kind is scanned: the scalar scan (BBM and KdV, whose
+    frequencies differ only in sign) or the bidirectional one.  ``pairs``
+    holds (n1, n2) as tuples or lists.  The scalar scan takes them in the
+    order and orientation given and rejects a mode paired with itself,
+    whose frequency difference vanishes identically; the bidirectional
+    one keeps the branch combinations whose modes form one of ``pairs``
+    in either order.  An exact zero counts as a collision only at the
+    right endpoint xi = 1/2: the grid starts strictly inside the
+    interval, and interior samples sit on the trivial common zero tail
+    of all branches as xi -> 0.
     """
     layout = _collision_layout(kind, n_range, pairs)
     if not layout.combos:
@@ -362,8 +362,6 @@ class PencilMatchRow:
 
 @dataclass(frozen=True)
 class PencilValidation:
-    kind: EquationKind
-    k: float
     rows: tuple[PencilMatchRow, ...]
     decay_factors: tuple[float, ...]
 
@@ -439,4 +437,4 @@ def validate_pencil(
         for i in range(len(rows) - 1)
         if rows[i + 1].mismatch_over_xi > 0
     )
-    return PencilValidation(kind=kind, k=k, rows=tuple(rows), decay_factors=factors)
+    return PencilValidation(rows=tuple(rows), decay_factors=factors)

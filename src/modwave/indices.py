@@ -91,31 +91,22 @@ def base_indices(sym: DispersionSymbol, k):
     return tuple(unbox(x) for x in _base(sym, k)[0])
 
 
-def _combine(kind: EquationKind, base: tuple[np.ndarray, ...], m2: np.ndarray) -> np.ndarray:
-    """Equation index from the base indices and m(2k)."""
-    _, i2m, i2p, i3m, i3p = base
-    if kind is EquationKind.KDV:
-        return 2.0 * i3m + i2m
-    if kind is EquationKind.BBM:
-        return 2.0 * i3m + m2 * i2m
-    if kind is EquationKind.BOUSSINESQ:
-        return 2.0 * i3m * i3p + np.float_power(m2, 2) * i2m * i2p
-    raise InvalidArgument(str(kind))
-
-
 def _columns(kind: EquationKind, sym: DispersionSymbol, k):
     """(i1, i2-, i2+, i3-, i3+, i_eq, ind, denominator of ind), elementwise.
 
-    ind is nan where the denominator is degenerate.
+    i_eq is 2 i3- + i2- (KdV), 2 i3- + m(2k) i2- (BBM) or
+    2 i3- i3+ + m(2k)^2 i2- i2+ (bidirectional).  ind is nan where the
+    denominator is degenerate.
     """
     base, m2 = _base(sym, k)
     i1, i2m, i2p, i3m, i3p = base
     with np.errstate(over="ignore"):  # an overflow is an inf of the sign the verdict reads
-        i_eq = _combine(kind, base, m2)
-        if kind is EquationKind.BOUSSINESQ:
+        if kind.bidirectional:
+            i_eq = 2.0 * i3m * i3p + np.float_power(m2, 2) * i2m * i2p
             denom = i3m * i3p
             numer = i1 * i2m * i2p * i_eq
         else:
+            i_eq = 2.0 * i3m + (m2 * i2m if kind is EquationKind.BBM else i2m)
             denom = i3m
             numer = i1 * i2m * i_eq
     with np.errstate(all="ignore"):
@@ -136,15 +127,14 @@ def ind(kind: EquationKind, sym: DispersionSymbol, k) -> IndexReport:
     """
     ks = np.atleast_1d(np.asarray(k, dtype=float))
     i1, i2m, i2p, i3m, i3p, i_eq, value, denom = _columns(kind, sym, ks)
-    bidirectional = kind is EquationKind.BOUSSINESQ
 
     def small(x: np.ndarray) -> np.ndarray:
         return np.abs(x) <= DEGENERACY_TOL
 
-    flags = (small(i1) * 1 + (small(i2m) | (bidirectional & small(i2p))) * 2
-             + (small(i3m) | (bidirectional & small(i3p))) * 4 + small(i_eq) * 8)
+    flags = (small(i1) * 1 + (small(i2m) | (kind.bidirectional & small(i2p))) * 2
+             + (small(i3m) | (kind.bidirectional & small(i3p))) * 4 + small(i_eq) * 8)
     code = np.where(small(denom) | small(value), 0,
-                    np.where(value < 0.0, 1, 2 if bidirectional else 3))
+                    np.where(value < 0.0, 1, 2 if kind.bidirectional else 3))
     report = IndexReport(ks, i1, i2m, i2p, i3m, i3p, i_eq, value, _VERDICTS[code],
                          _FLAG_SETS[flags])
     return report[0] if np.ndim(k) == 0 else report
@@ -179,7 +169,7 @@ def find_resonances(
         raise InvalidArgument("need 0 < k_lo < k_hi")
     grid = np.linspace(k_lo, k_hi, SCAN_SAMPLES)
     # columns of _columns: i1, i2-, [i2+], i3-, [i3+], i_eq
-    cols = np.array([0, 1, 2, 3, 4, 5] if kind is EquationKind.BOUSSINESQ else [0, 1, 3, 5])
+    cols = np.array([0, 1, 2, 3, 4, 5] if kind.bidirectional else [0, 1, 3, 5])
     label = ("R1", "R2", "R2", "R3", "R3", "R4")  # by column
     table = np.array(_columns(kind, sym, grid))[cols]
     flat = np.max(np.abs(table), axis=1) <= DEGENERACY_TOL

@@ -103,19 +103,20 @@ def scan_roots(
     grid: np.ndarray,
     vals: np.ndarray,
     tol: float = 1e-12,
-    zero_tol: float | None = None,
+    zero_tol: float | np.ndarray | None = None,
     poles: np.ndarray | None = None,
 ) -> list:
     """Roots of each row of a table vals = f(grid), in grid order: a list
     per row, or one list for a 1-d vals.
 
     The caller samples f (and the denominator ``poles``, if any) once over
-    the grid by an array call.  With zero_tol set, a sample with
-    |f| <= zero_tol is a root itself; every other pair of neighbouring
-    samples of opposite sign brackets a root, unless ``poles`` changes
-    sign there too (a pole of f).  One find_root refines all brackets:
-    f gets a (rows, slots) array of each row's points, grid[0] in a slot
-    the row does not use.
+    the grid by an array call.  With zero_tol set (a number, or an array
+    that broadcasts against vals, so that it can scale with each sample),
+    a sample with |f| <= zero_tol is a root itself; every other pair of
+    neighbouring samples of opposite sign brackets a root, unless
+    ``poles`` changes sign there too (a pole of f).  One find_root
+    refines all brackets: f gets a (rows, slots) array of each row's
+    points, grid[0] in a slot the row does not use.
     """
     table = np.array(vals, dtype=float, ndmin=2)
     zero = np.zeros(table.shape, dtype=bool) if zero_tol is None else np.abs(table) <= zero_tol

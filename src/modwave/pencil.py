@@ -48,7 +48,6 @@ class ReducedPencil:
     (k an n-array, (n, size, size) matrices).  eigenvalues() takes a
     single pencil only."""
 
-    kind: EquationKind
     k: float | np.ndarray
     xi: float
     a: float
@@ -79,10 +78,10 @@ def _check_resonance(ks: np.ndarray, resonant: np.ndarray) -> None:
         raise DegenerateResonance(f"resonant denominators at k={ks[np.argmax(resonant)]}")
 
 
-def _pencil(kind, k, xi, a, b, i_mat) -> ReducedPencil:
+def _pencil(k, xi, a, b, i_mat) -> ReducedPencil:
     if np.ndim(k) == 0:
-        return ReducedPencil(kind, k, xi, a, b[0], i_mat[0])
-    return ReducedPencil(kind, np.asarray(k), xi, a, b, i_mat)
+        return ReducedPencil(k, xi, a, b[0], i_mat[0])
+    return ReducedPencil(np.asarray(k), xi, a, b, i_mat)
 
 
 # The entries are bit-identical to the same formulas in scalar Python
@@ -112,7 +111,7 @@ def build_bbm_pencil(sym: DispersionSymbol, k, xi: float, a: float) -> ReducedPe
     s = m2 / (2.0 * (m - m2))
     i_mat[:, 0, 2] -= 2.0 * a * s
     i_mat[:, 2, 0] -= a * s
-    return _pencil(EquationKind.BBM, k, xi, a, b, i_mat)
+    return _pencil(k, xi, a, b, i_mat)
 
 
 def build_bnesq_pencil(sym: DispersionSymbol, k, xi: float, a: float) -> ReducedPencil:
@@ -145,18 +144,20 @@ def build_bnesq_pencil(sym: DispersionSymbol, k, xi: float, a: float) -> Reduced
     v = 0.5 * ks * m * mp / np.float_power(msq + 1.0, 2)
     i_mat[:, 1, 3] = 1j * (-xi * a * 2.0 * v)
     i_mat[:, 3, 1] = 1j * (-xi * a * v * (msq + 1.0))
-    return _pencil(EquationKind.BOUSSINESQ, k, xi, a, b, i_mat)
+    return _pencil(k, xi, a, b, i_mat)
+
+
+#: the pencil builder of each kind that has one
+PENCILS = {EquationKind.BBM: build_bbm_pencil, EquationKind.BOUSSINESQ: build_bnesq_pencil}
 
 
 def build_pencil(kind: EquationKind, sym: DispersionSymbol, k, xi: float, a: float) -> ReducedPencil:
-    if kind is EquationKind.BBM:
-        return build_bbm_pencil(sym, k, xi, a)
-    if kind is EquationKind.BOUSSINESQ:
-        return build_bnesq_pencil(sym, k, xi, a)
-    raise InvalidArgument(
-        "no reduced pencil for the KdV-type nonlinearity; use the index or "
-        "the Floquet-Bloch spectrum directly"
-    )
+    if kind not in PENCILS:
+        raise InvalidArgument(
+            "no reduced pencil for the KdV-type nonlinearity; use the index or "
+            "the Floquet-Bloch spectrum directly"
+        )
+    return PENCILS[kind](sym, k, xi, a)
 
 
 def _charpoly_monic(m: np.ndarray) -> np.ndarray:
@@ -363,13 +364,14 @@ def pencil_verdicts(kind: EquationKind, sym: DispersionSymbol,
     """pencil_verdict at every k of an index report over a k-array.
 
     The k whose index is not degenerate go through one stacked pencil
-    build, rescaled charpoly and classification.
+    build, rescaled charpoly and classification; the degree of the
+    polynomial, not the kind, picks the rule.
     """
     live = report.verdict != Verdict.DEGENERATE
     verdicts = np.full(live.shape, Verdict.DEGENERATE, dtype=object)
     if np.any(live):
         p = rescaled_charpoly(build_pencil(kind, sym, report.k[live], VERDICT_XI, VERDICT_A))
-        if kind is EquationKind.BBM:
+        if p.shape[-1] == 4:  # a cubic, from the 3x3 pencil
             disc = disc_cubic(p)
             degenerate = np.abs(disc) <= default_disc_tolerance(p)
             unstable = disc < 0
@@ -386,8 +388,8 @@ def pencil_verdicts(kind: EquationKind, sym: DispersionSymbol,
 def pencil_verdict(kind: EquationKind, sym: DispersionSymbol, k: float) -> Verdict:
     """Stability verdict from the reduced pencil discriminants.
 
-    Unidirectional: sign of the cubic discriminant.  Bidirectional:
-    negative quartic discriminant means unstable; positive goes through
+    A cubic (3x3 pencil): sign of its discriminant.  A quartic (4x4):
+    negative discriminant means unstable; positive goes through
     the root classification (four real roots: stable; two conjugate
     pairs: unstable).  A degenerate index (threshold wave number) is
     reported as Degenerate without consulting the discriminant.

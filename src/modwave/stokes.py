@@ -29,6 +29,11 @@ class EquationKind(enum.Enum):
     BBM = "bbm"
     BOUSSINESQ = "boussinesq"
 
+    @property
+    def bidirectional(self) -> bool:
+        """True for the two-channel (u, q) system; the scalar kinds have u alone."""
+        return self is EquationKind.BOUSSINESQ
+
 
 @dataclass(frozen=True)
 class StokesExpansion:
@@ -84,7 +89,7 @@ def expansion_for(kind: EquationKind, sym: DispersionSymbol, k: float, a: float)
     bidirectional system.
     """
     mk, m2k = eval_m(sym, k), eval_m(sym, 2 * k)
-    if kind is not EquationKind.BOUSSINESQ:
+    if not kind.bidirectional:
         if abs(mk - 1.0) <= RESONANCE_TOL:
             raise DegenerateResonance(f"m(k)={mk} too close to 1 (mean-flow resonance)")
         if abs(mk - m2k) <= RESONANCE_TOL:
@@ -156,7 +161,7 @@ def _newton_system(kind: EquationKind, mvals: np.ndarray, k: float, pin: float):
         except np.linalg.LinAlgError as exc:
             raise DegenerateResonance(f"singular Newton system at k={k}: {exc}") from exc
 
-    if kind is EquationKind.BOUSSINESQ:
+    if kind.bidirectional:
         m2vals = mvals**2
         jac[-1, 1] = -m2vals[1]
 
@@ -237,9 +242,8 @@ def newton_wave(
         raise InvalidArgument("k must be positive")
     start = expansion_for(kind, sym, k, a)
     n = n_modes + 1
-    bidirectional = kind is EquationKind.BOUSSINESQ
     u0 = start.u_cosines(n_modes)
-    state = np.concatenate([u0, *([start.q_cosines(n_modes)] if bidirectional else []),
+    state = np.concatenate([u0, *([start.q_cosines(n_modes)] if kind.bidirectional else []),
                             [start.speed()]])
     if not np.isfinite(state).all():
         raise InvalidArgument(f"the Stokes start at k={k}, a={a} is not finite")
@@ -252,7 +256,7 @@ def newton_wave(
             rnorm = float(np.linalg.norm(res))
             if rnorm <= tol:
                 return WaveSolution(kind, sym, k, a, n_modes, u, float(c), rnorm,
-                                    q_hat=q if bidirectional else None, iterations=it)
+                                    q_hat=q if kind.bidirectional else None, iterations=it)
             if it == NEWTON_MAX_ITER:
                 raise NoConvergence(it, rnorm)
             delta = step(u, q, c, res)
@@ -278,8 +282,6 @@ class ExpansionErrorRow:
 
 @dataclass(frozen=True)
 class ExpansionErrorTable:
-    kind: EquationKind
-    k: float
     rows: tuple[ExpansionErrorRow, ...]
     slope: float
 
@@ -309,4 +311,4 @@ def expansion_error(
         slope = float(np.polyfit(la, le, 1)[0])
     else:
         slope = math.nan
-    return ExpansionErrorTable(kind=kind, k=k, rows=tuple(rows), slope=slope)
+    return ExpansionErrorTable(rows=tuple(rows), slope=slope)

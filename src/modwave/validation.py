@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -34,10 +34,10 @@ from .stokes import EquationKind, expansion_error, newton_wave
 @dataclass(frozen=True)
 class CheckResult:
     name: str
+    runtime: float
     passed: bool
     measured: str
     expected: str
-    runtime: float
     detail: str = ""
 
     def line(self) -> str:
@@ -48,13 +48,15 @@ class CheckResult:
         return text
 
 
-def _timed(fn: Callable[[], CheckResult]) -> CheckResult:
+def _timed(name: str, fn: Callable[[], tuple]) -> CheckResult:
+    """The named check's result: its body returns (passed, measured,
+    expected[, detail]), and its runtime is measured here."""
     start = time.perf_counter()
-    result = fn()
-    return replace(result, runtime=time.perf_counter() - start)
+    outcome = fn()
+    return CheckResult(name, time.perf_counter() - start, *outcome)
 
 
-def check_bbm_threshold() -> CheckResult:
+def check_bbm_threshold() -> tuple:
     sym = bbm_symbol()
     k_star = critical_wavenumber(EquationKind.BBM, sym, (1.0, 3.0))
     target = math.sqrt(3.0)
@@ -64,33 +66,25 @@ def check_bbm_threshold() -> CheckResult:
         and ind(EquationKind.BBM, sym, 1.7).ind > 0
         and ind(EquationKind.BBM, sym, 1.8).ind < 0
     )
-    return CheckResult(
-        "bbm-threshold", ok,
-        f"k* = {k_star}", f"sqrt(3) = {target} within 1e-9; sign flip across 1.7/1.8",
-        0.0,
-    )
+    return ok, f"k* = {k_star}", f"sqrt(3) = {target} within 1e-9; sign flip across 1.7/1.8"
 
 
-def check_collision_floor() -> CheckResult:
+def check_collision_floor() -> tuple:
     sym = bbm_symbol()
     pairs = [(0, n) for n in range(-8, -1)]
     measured = hill.min_collision_k(sym, pairs, (1.0, 3.0))
     target = 2.0 * math.sqrt(3.0 / 5.0)
     ok = measured is not None and abs(measured - target) <= 1e-6
     bound_holds = measured is not None and measured >= target - 1e-6
-    return CheckResult(
-        "bbm-collision-floor", ok,
-        f"min collision k = {measured}", f"{target} within 1e-6",
-        0.0,
-        detail=(
-            "the pinned constant is a lower bound for this collision family, "
-            "attained nowhere: the measured minimum is 2.0 (modes 0 and -2 "
-            f"colliding at xi=1/2); the bound itself {'holds' if bound_holds else 'fails'}"
-        ),
+    return (
+        ok, f"min collision k = {measured}", f"{target} within 1e-6",
+        "the pinned constant is a lower bound for this collision family, "
+        "attained nowhere: the measured minimum is 2.0 (modes 0 and -2 "
+        f"colliding at xi=1/2); the bound itself {'holds' if bound_holds else 'fails'}",
     )
 
 
-def check_boussinesq_stability() -> CheckResult:
+def check_boussinesq_stability() -> tuple:
     sym = boussinesq_symbol()
     ks = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
     reports = ind(EquationKind.BOUSSINESQ, sym, np.array(ks))
@@ -115,16 +109,13 @@ def check_boussinesq_stability() -> CheckResult:
             failures.append(f"disc2({k}) = {d2} vs {ref2}")
         if category[j] is not QuarticClass.FOUR_REAL:
             failures.append(f"class({k}) = {category[j].value}")
-    return CheckResult(
-        "boussinesq-stability", not failures,
-        "all six wave numbers positive-index, leading discs match, FourReal"
-        if not failures else "; ".join(failures),
-        "ind>0, closed-form disc1/disc2 to 1e-10, FourReal at xi=a=1e-3",
-        0.0,
-    )
+    return (not failures,
+            "all six wave numbers positive-index, leading discs match, FourReal"
+            if not failures else "; ".join(failures),
+            "ind>0, closed-form disc1/disc2 to 1e-10, FourReal at xi=a=1e-3")
 
 
-def check_fractional_threshold() -> CheckResult:
+def check_fractional_threshold() -> tuple:
     def f(alpha):
         return 3.0 - np.float_power(2.0, 1.0 + alpha) + alpha
 
@@ -138,15 +129,11 @@ def check_fractional_threshold() -> CheckResult:
         and k_bq is not None
         and k_bbm > k_bq
     )
-    return CheckResult(
-        "fractional-threshold", ok,
-        f"alpha* = {root}, k*_bbm = {k_bbm}, k*_bnesq = {k_bq}",
-        "alpha* = 1 within 1e-10 and k*_bbm > k*_bnesq at alpha=3",
-        0.0,
-    )
+    return (ok, f"alpha* = {root}, k*_bbm = {k_bbm}, k*_bnesq = {k_bq}",
+            "alpha* = 1 within 1e-10 and k*_bbm > k*_bnesq at alpha=3")
 
 
-def check_cubic_disc_identity() -> CheckResult:
+def check_cubic_disc_identity() -> tuple:
     sym = bbm_symbol()
     ks = (0.5, 1.0, 2.0, 4.0)
     i1s, i2ms, _, _, _ = base_indices(sym, np.array(ks))
@@ -172,21 +159,16 @@ def check_cubic_disc_identity() -> CheckResult:
             worst = max(worst, abs(disc - ref4) / abs(ref4))
             worst_fixed = max(worst_fixed, abs(disc - ref2) / abs(ref2))
     ok = worst <= 1e-8
-    return CheckResult(
-        "cubic-disc-identity", ok,
-        f"max relative deviation {worst:.3e} from the pinned form",
-        "<= 1e-8 relative",
-        0.0,
-        detail=(
-            "the pinned closed form carries coefficient 4 on the linear index "
-            "term; the discriminant actually satisfies the same identity with "
-            f"coefficient 2 (max relative deviation {worst_fixed:.3e}), which "
-            "is asserted in the pencil test module"
-        ),
+    return (
+        ok, f"max relative deviation {worst:.3e} from the pinned form", "<= 1e-8 relative",
+        "the pinned closed form carries coefficient 4 on the linear index "
+        "term; the discriminant actually satisfies the same identity with "
+        f"coefficient 2 (max relative deviation {worst_fixed:.3e}), which "
+        "is asserted in the pencil test module",
     )
 
 
-def check_hill_cross_validation() -> CheckResult:
+def check_hill_cross_validation() -> tuple:
     steps = (4e-2, 2e-2, 1e-2)
     scenarios = (
         (EquationKind.BBM, bbm_symbol(), 1.0, False),
@@ -207,15 +189,11 @@ def check_hill_cross_validation() -> CheckResult:
             f"{kind.value} k={k}: decay {tuple(round(float(f), 2) for f in val.decay_factors)}, "
             f"max_re {max_re:.2e}"
         )
-    return CheckResult(
-        "hill-cross-validation", not failures,
-        "; ".join(details) if not failures else "; ".join(failures),
-        "mismatch/xi decay factor >= 3 per halving; instability signs match the index",
-        0.0,
-    )
+    return (not failures, "; ".join(details) if not failures else "; ".join(failures),
+            "mismatch/xi decay factor >= 3 per halving; instability signs match the index")
 
 
-def check_stokes_vs_newton() -> CheckResult:
+def check_stokes_vs_newton() -> tuple:
     amplitudes = (0.02, 0.01, 0.005)
     failures = []
     details = []
@@ -234,12 +212,8 @@ def check_stokes_vs_newton() -> CheckResult:
     if abs(ratio - target) > 2e-3 * abs(target):
         failures.append(f"second harmonic ratio {ratio} vs {target}")
     details.append(f"u_hat[2]/a^2 = {ratio:.6f}")
-    return CheckResult(
-        "stokes-vs-newton", not failures,
-        "; ".join(details) if not failures else "; ".join(failures),
-        "slopes in [2.5, 3.5]; second-harmonic ratio 1/3 within 2e-3 relative",
-        0.0,
-    )
+    return (not failures, "; ".join(details) if not failures else "; ".join(failures),
+            "slopes in [2.5, 3.5]; second-harmonic ratio 1/3 within 2e-3 relative")
 
 
 def _real_root_count(coeffs: np.ndarray) -> np.ndarray:
@@ -262,7 +236,7 @@ def _root_classification(coeffs: np.ndarray) -> np.ndarray:
                      [QuarticClass.FOUR_REAL, QuarticClass.TWO_REAL_ONE_PAIR], QuarticClass.TWO_PAIRS)
 
 
-def check_quartic_classifier() -> CheckResult:
+def check_quartic_classifier() -> tuple:
     rng = property_rng()
     total = 10_000
     coeffs = rng.normal(0.0, 1.0, size=(total, 5))  # row i: the i-th five draws
@@ -273,15 +247,11 @@ def check_quartic_classifier() -> CheckResult:
     tested = int(np.count_nonzero(decisive))
     disagreements = int(np.sum(cls.category[decisive] != _root_classification(coeffs[decisive])))
     ok = disagreements == 0
-    return CheckResult(
-        "quartic-classifier", ok,
-        f"{disagreements} disagreements over {tested} decisive samples of {total}",
-        "zero disagreements with the companion-matrix oracle",
-        0.0,
-    )
+    return (ok, f"{disagreements} disagreements over {tested} decisive samples of {total}",
+            "zero disagreements with the companion-matrix oracle")
 
 
-def check_zero_state_spectra() -> CheckResult:
+def check_zero_state_spectra() -> tuple:
     failures = []
     for kind, sym, expected_mult in (
         (EquationKind.BBM, bbm_symbol(), 3),
@@ -296,31 +266,24 @@ def check_zero_state_spectra() -> CheckResult:
         mult = hill.zero_multiplicity(spectra[0])
         if mult != expected_mult:
             failures.append(f"{kind.value}: multiplicity {mult} != {expected_mult}")
-    return CheckResult(
-        "zero-state-spectra", not failures,
-        "purely imaginary, multiplicities 3/4" if not failures else "; ".join(failures),
-        "max |Re| <= 1e-10 at a=0; origin multiplicity 3 (scalar) / 4 (system)",
-        0.0,
-    )
+    return (not failures,
+            "purely imaginary, multiplicities 3/4" if not failures else "; ".join(failures),
+            "max |Re| <= 1e-10 at a=0; origin multiplicity 3 (scalar) / 4 (system)")
 
 
-ALL_CHECKS: tuple[tuple[str, Callable[[], CheckResult]], ...] = (
-    ("bbm-threshold", check_bbm_threshold),
-    ("bbm-collision-floor", check_collision_floor),
-    ("boussinesq-stability", check_boussinesq_stability),
-    ("fractional-threshold", check_fractional_threshold),
-    ("cubic-disc-identity", check_cubic_disc_identity),
-    ("hill-cross-validation", check_hill_cross_validation),
-    ("stokes-vs-newton", check_stokes_vs_newton),
-    ("quartic-classifier", check_quartic_classifier),
-    ("zero-state-spectra", check_zero_state_spectra),
-)
+#: every check by the name its result line carries
+ALL_CHECKS: dict[str, Callable[[], tuple]] = {
+    "bbm-threshold": check_bbm_threshold,
+    "bbm-collision-floor": check_collision_floor,
+    "boussinesq-stability": check_boussinesq_stability,
+    "fractional-threshold": check_fractional_threshold,
+    "cubic-disc-identity": check_cubic_disc_identity,
+    "hill-cross-validation": check_hill_cross_validation,
+    "stokes-vs-newton": check_stokes_vs_newton,
+    "quartic-classifier": check_quartic_classifier,
+    "zero-state-spectra": check_zero_state_spectra,
+}
 
 
 def run_checks(only: str | None = None) -> list[CheckResult]:
-    results = []
-    for name, fn in ALL_CHECKS:
-        if only and only not in name:
-            continue
-        results.append(_timed(fn))
-    return results
+    return [_timed(name, fn) for name, fn in ALL_CHECKS.items() if not only or only in name]

@@ -23,8 +23,8 @@ import pytest
 from modwave import validation
 
 
-def _run(fn, budget: float):
-    result = validation._timed(fn)
+def _run(name: str, budget: float):
+    result = validation._timed(name, validation.ALL_CHECKS[name])
     print()
     print(result.line())
     assert result.runtime < budget, f"runtime {result.runtime:.1f}s exceeds {budget}s"
@@ -32,7 +32,7 @@ def _run(fn, budget: float):
 
 
 def test_criterion_1_bbm_threshold():
-    result = _run(validation.check_bbm_threshold, 1.0)
+    result = _run("bbm-threshold", 1.0)
     assert result.passed
 
 
@@ -42,17 +42,17 @@ def test_criterion_1_bbm_threshold():
     "measured minimum collision wave number is 2.0",
 )
 def test_criterion_2_collision_floor():
-    result = _run(validation.check_collision_floor, 5.0)
+    result = _run("bbm-collision-floor", 5.0)
     assert result.passed
 
 
 def test_criterion_3_boussinesq_stability():
-    result = _run(validation.check_boussinesq_stability, 1.0)
+    result = _run("boussinesq-stability", 1.0)
     assert result.passed
 
 
 def test_criterion_4_fractional_threshold():
-    result = _run(validation.check_fractional_threshold, 10.0)
+    result = _run("fractional-threshold", 10.0)
     assert result.passed
 
 
@@ -62,27 +62,27 @@ def test_criterion_4_fractional_threshold():
     "the computed discriminant satisfies the identity with coefficient 2",
 )
 def test_criterion_5_cubic_disc_identity():
-    result = _run(validation.check_cubic_disc_identity, 1.0)
+    result = _run("cubic-disc-identity", 1.0)
     assert result.passed
 
 
 def test_criterion_6_hill_cross_validation():
-    result = _run(validation.check_hill_cross_validation, 60.0)
+    result = _run("hill-cross-validation", 60.0)
     assert result.passed
 
 
 def test_criterion_7_stokes_vs_newton():
-    result = _run(validation.check_stokes_vs_newton, 10.0)
+    result = _run("stokes-vs-newton", 10.0)
     assert result.passed
 
 
 def test_criterion_8_quartic_classifier():
-    result = _run(validation.check_quartic_classifier, 5.0)
+    result = _run("quartic-classifier", 5.0)
     assert result.passed
     # every sample is decisive: the count moves if the discriminants' last bits do
     assert result.measured == "0 disagreements over 10000 decisive samples of 10000"
 
 
 def test_criterion_9_zero_state_spectra():
-    result = _run(validation.check_zero_state_spectra, 5.0)
+    result = _run("zero-state-spectra", 5.0)
     assert result.passed

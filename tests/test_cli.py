@@ -220,6 +220,17 @@ def test_resonances_harmonic_scan(tmp_path):
     assert any(line.endswith("R3") for line in text.splitlines())
 
 
+def test_resonances_on_a_vanishing_symbol_report_no_harmonic_resonance(tmp_path):
+    # Whitham's m is about 1e-99 on this range: m(k) - m(nk) is never within
+    # 1e-14 of the values it compares, though it is within 1e-14 absolutely
+    out = tmp_path / "res.csv"
+    assert run([
+        "resonances", "--equation", "bbm", "--symbol", "whitham",
+        "--k-range", "1", "1e200", "-o", str(out),
+    ]) == 0
+    assert "harmonic resonance" not in read(out)
+
+
 def test_spectrum_kdv(tmp_path):
     summary = tmp_path / "kdv.json"
     assert run([

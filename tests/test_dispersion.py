@@ -471,6 +471,12 @@ def test_check_assumptions_whitham(whitham):
     assert report.m3_bounds[2] == pytest.approx(-0.5, abs=0.1)
 
 
+def test_harmonic_zero_test_scales_with_the_symbol(whitham):
+    # m is about 1e-99 here, so an absolute 1e-14 made every sample a root
+    report = check_assumptions(whitham, np.linspace(1.0, 1e200, 200), 8)
+    assert report.m4_violations == ()
+
+
 def test_check_assumptions_detects_harmonic_resonance():
     # cos(k) has m(k) = m(2k) at k = 2*pi/3 and normalization m(0) = 1
     sym = parse_symbol("cos(k)")

@@ -215,6 +215,7 @@ def test_min_collision_k(bbm, boussinesq):
     pairs = [(0, n) for n in range(-8, -1)]
     measured = min_collision_k(bbm, pairs, (1.0, 3.0))
     assert measured == 2.0
+    assert min_collision_k(bbm, pairs, (1.0, 3.0), kind=EquationKind.KDV) == 2.0
     # every collision in the family sits above the analytic floor
     assert measured >= 2.0 * math.sqrt(3.0 / 5.0)
     # the float a bisection on bool(collision_scan(...)) returns
@@ -225,9 +226,10 @@ def test_min_collision_k(bbm, boussinesq):
 @pytest.mark.parametrize("kind, pairs, k_range", [
     (EquationKind.BBM, [(0, n) for n in range(-8, -1)], (1.0, 3.0)),
     (EquationKind.BOUSSINESQ, [(-3, -1)], (0.01, 3.0)),
+    (EquationKind.KDV, [(0, n) for n in range(-8, -1)], (1.0, 3.0)),
 ], ids=lambda v: getattr(v, "value", None))
 def test_collision_indicator_is_a_nonempty_scan(kind, pairs, k_range, bbm, boussinesq):
-    sym = bbm if kind is EquationKind.BBM else boussinesq
+    sym = boussinesq if kind.bidirectional else bbm
     modes = sorted({n for p in pairs for n in p})
     layout = hill._collision_layout(kind, modes, pairs)
     indicator = [hill._collides(layout.sample(sym, k)) for k in np.linspace(*k_range, 401)]
@@ -253,12 +255,13 @@ def test_boussinesq_first_flat_state_collision(boussinesq, k, xi, modes):
     (EquationKind.BBM, 2.0, range(-8, 1)),
     (EquationKind.BBM, 6.0, range(-6, 7)),
     (EquationKind.BOUSSINESQ, 1.0, range(-4, 5)),
+    (EquationKind.KDV, 2.0, range(-8, 1)),
 ])
 def test_collision_scan_is_the_union_of_one_pair_scans(kind, k, modes, bbm, boussinesq):
-    sym = bbm if kind is EquationKind.BBM else boussinesq
+    sym = boussinesq if kind.bidirectional else bbm
     # a bidirectional mode also pairs with itself, across the two branches
-    pairs = (itertools.combinations(modes, 2) if kind is EquationKind.BBM
-             else itertools.combinations_with_replacement(modes, 2))
+    pairs = (itertools.combinations_with_replacement(modes, 2) if kind.bidirectional
+             else itertools.combinations(modes, 2))
     union = [p for pair in pairs for p in collision_scan(kind, sym, k, modes, pairs=[pair])]
     union.sort(key=lambda p: (p.xi, p.n1, p.n2))
     assert collision_scan(kind, sym, k, modes) == tuple(union)
@@ -278,15 +281,24 @@ def test_collision_scan_boussinesq_pairs_in_either_order(boussinesq):
     assert [(p.n1, p.n2, p.branch1, p.branch2) for p in scan] == [(0, 2, +1, -1)]
 
 
-@pytest.mark.parametrize("kind", [EquationKind.BBM, EquationKind.BOUSSINESQ],
+@pytest.mark.parametrize("kind", [EquationKind.BBM, EquationKind.BOUSSINESQ, EquationKind.KDV],
                          ids=lambda kind: kind.value)
 def test_collision_scan_one_mode(kind, boussinesq):
     assert collision_scan(kind, boussinesq, 1.0, [0]) == ()
 
 
-def test_collision_scan_kdv_unsupported(bbm):
-    with pytest.raises(InvalidArgument, match="^collision scan supports the BBM-type"):
-        collision_scan(EquationKind.KDV, bbm, 1.0, range(-2, 2))
+def test_collision_scan_kdv_is_bbms(bbm):
+    # KdV's flat-state frequencies are BBM's negated, so they collide at the same xi
+    scan = collision_scan(EquationKind.KDV, bbm, 2.5, range(-3, 2))
+    assert scan == collision_scan(EquationKind.BBM, bbm, 2.5, range(-3, 2))
+    assert [(p.n1, p.n2) for p in scan] == [(-2, 0)]
+    assert scan[0].xi == pytest.approx(1.0 - math.sqrt(1.0 - 3.0 / 2.5**2), abs=1e-8)
+    # there the a = 0 KdV Bloch diagonal entries of the two modes agree to the
+    # scan's root tolerance 1e-12 (they read 1.9e-16 apart)
+    n = 16
+    diag = np.diag(assemble(EquationKind.KDV, bbm, _flat(EquationKind.KDV, bbm, 2.5, n),
+                            scan[0].xi, n).real)
+    assert abs(diag[n - 2] - diag[n]) <= 1e-12
 
 
 def test_validate_pencil_decay(bbm):
@@ -330,7 +342,8 @@ def test_collision_scan_boussinesq_pairs_as_lists(boussinesq):
                          ids=["reversed", "from-zero", "one-point"])
 def test_min_collision_k_refuses_a_bad_range(k_range, bbm, boussinesq):
     # at k = 0 every flat-state frequency vanishes, so a scan there would report 0.0
-    for kind, sym in ((EquationKind.BBM, bbm), (EquationKind.BOUSSINESQ, boussinesq)):
+    for kind, sym in ((EquationKind.BBM, bbm), (EquationKind.BOUSSINESQ, boussinesq),
+                      (EquationKind.KDV, bbm)):
         with pytest.raises(InvalidArgument, match="^need 0 < k_lo < k_hi$"):
             min_collision_k(sym, [(0, -2)], k_range, kind=kind)
 

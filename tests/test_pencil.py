@@ -11,6 +11,7 @@ from modwave.errors import DegenerateResonance, InvalidArgument, NotRescalable
 from modwave.indices import Verdict, base_indices, ind
 from modwave.numerics import property_rng
 from modwave.pencil import (
+    PENCILS,
     QuarticClass,
     ReducedPencil,
     bnesq_leading_discs,
@@ -225,11 +226,11 @@ def test_not_rescalable_names_first_k():
     b = np.zeros((2, 3, 3), dtype=complex)
     b[1, 0, 0] = 1.0
     i_mat = np.tile(np.eye(3, dtype=complex), (2, 1, 1))
-    stack = ReducedPencil(EquationKind.BBM, np.array([1.0, 2.0]), 0.01, 0.0, b, i_mat)
+    stack = ReducedPencil(np.array([1.0, 2.0]), 0.01, 0.0, b, i_mat)
     with pytest.raises(NotRescalable, match=r"at k=2\.0$"):
         rescaled_charpoly(stack)
-    assert np.array_equal(rescaled_charpoly(ReducedPencil(
-        EquationKind.BBM, 1.0, 0.01, 0.0, b[0], i_mat[0])), [1.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(rescaled_charpoly(ReducedPencil(1.0, 0.01, 0.0, b[0], i_mat[0])),
+                          [1.0, 0.0, 0.0, 0.0])
 
 
 def test_degree_mismatch(bbm, boussinesq):
@@ -255,6 +256,17 @@ def test_resonant_denominators_raise():
 def test_kdv_pencil_unsupported(bbm):
     with pytest.raises(InvalidArgument, match="^no reduced pencil for the KdV-type nonlinearity"):
         build_pencil(EquationKind.KDV, bbm, 1.0, 0.01, 0.01)
+
+
+def test_pencil_table_holds_the_kinds_build_pencil_accepts(bbm):
+    accepted = []
+    for kind in EquationKind:
+        try:
+            build_pencil(kind, bbm, 1.0, 0.01, 0.01)
+        except InvalidArgument:
+            continue
+        accepted.append(kind)
+    assert set(PENCILS) == set(accepted) == {EquationKind.BBM, EquationKind.BOUSSINESQ}
 
 
 def test_sign_agreement_bbm(bbm):

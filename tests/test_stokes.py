@@ -24,6 +24,10 @@ from modwave.stokes import (
 # --- expansions ------------------------------------------------------------
 
 
+def test_only_the_boussinesq_kind_is_bidirectional():
+    assert [kind for kind in EquationKind if kind.bidirectional] == [EquationKind.BOUSSINESQ]
+
+
 def test_bbm_expansion_closed_form(bbm):
     # second-order profile a^2 (1+k^2)/(6k^2) (cos 2z - 3) and speed
     # m(k) - a^2 5/(6k^2) for m = 1/(1+k^2)
